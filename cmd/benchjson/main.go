@@ -14,6 +14,11 @@
 //	{"name":"ImportValidation/sweep/10000v","procs":8,"iterations":3,
 //	 "ns_per_op":40563681,"metrics":{"extra/op":12}}
 //
+// go test appends the GOMAXPROCS suffix "-8" to every benchmark name when
+// GOMAXPROCS > 1 and to none when it is 1, so a trailing "-N" is read as
+// procs only when every benchmark line of its pkg: block carries the same
+// one; otherwise it is part of the name (EngineBatch/workers-4).
+//
 // Non-benchmark lines (pkg headers, PASS/ok) pass through into the report's
 // "context" list, preserving goos/goarch/cpu provenance.
 package main
@@ -70,37 +75,72 @@ func main() {
 func parse(sc *bufio.Scanner) (*report, error) {
 	rep := &report{}
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	var block []benchResult // the current pkg: block, names unsplit
+	flush := func() {
+		rep.Results = append(rep.Results, splitProcs(block)...)
+		block = nil
+	}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
 		case line == "" || line == "PASS" || strings.HasPrefix(line, "ok "):
 		case strings.HasPrefix(line, "goos:") || strings.HasPrefix(line, "goarch:") ||
 			strings.HasPrefix(line, "pkg:") || strings.HasPrefix(line, "cpu:"):
+			if strings.HasPrefix(line, "pkg:") {
+				flush()
+			}
 			rep.Context = append(rep.Context, line)
 		case strings.HasPrefix(line, "Benchmark"):
 			if r, ok := parseBenchLine(line); ok {
-				rep.Results = append(rep.Results, r)
+				block = append(block, r)
 			}
 		}
 	}
+	flush()
 	return rep, sc.Err()
+}
+
+// splitProcs moves the GOMAXPROCS suffix of one pkg: block's names into
+// Procs, provided every name in the block ends in the same "-N".
+func splitProcs(block []benchResult) []benchResult {
+	procs := 0
+	for _, r := range block {
+		p := procsSuffix(r.Name)
+		if p == 0 || (procs != 0 && p != procs) {
+			return block
+		}
+		procs = p
+	}
+	for i := range block {
+		block[i].Name = block[i].Name[:strings.LastIndexByte(block[i].Name, '-')]
+		block[i].Procs = procs
+	}
+	return block
+}
+
+// procsSuffix returns N for a name ending in "-N" (N ≥ 1), else 0.
+func procsSuffix(name string) int {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 {
+		return 0
+	}
+	p, err := strconv.Atoi(name[i+1:])
+	if err != nil || p < 1 {
+		return 0
+	}
+	return p
 }
 
 // parseBenchLine parses one benchmark result line.  The shape is
 // "BenchmarkName[-procs] N [value unit]..." with whitespace-separated
 // fields; unparsable lines are skipped rather than failing the report.
+// The name keeps any "-procs" suffix; parse splits it off per block.
 func parseBenchLine(line string) (benchResult, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 2 {
 		return benchResult{}, false
 	}
 	r := benchResult{Name: strings.TrimPrefix(fields[0], "Benchmark")}
-	if i := strings.LastIndexByte(r.Name, '-'); i >= 0 {
-		if p, err := strconv.Atoi(r.Name[i+1:]); err == nil {
-			r.Procs = p
-			r.Name = r.Name[:i]
-		}
-	}
 	n, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return benchResult{}, false

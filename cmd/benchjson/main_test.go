@@ -16,16 +16,30 @@ BenchmarkImportValidation/sweep/10000v-8            	       3	  40563681 ns/op
 BenchmarkE1LandUseCompression-8                     	       1	 500000000 ns/op	        91.50 raw/inv
 PASS
 ok  	repro/internal/sweep	34.532s
+pkg: repro
+BenchmarkEngineInvariant/cached                     	       1	       740 ns/op
+BenchmarkEngineBatch/workers-1                      	       1	   4868247 ns/op	     13146 queries/sec
+BenchmarkEngineBatch/workers-4                      	       1	   4375726 ns/op	     14626 queries/sec
+BenchmarkEngineBatch/workers-1#01                   	       1	   4449167 ns/op	     14384 queries/sec
+PASS
+ok  	repro	1.204s
 `
 	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Context) != 4 {
-		t.Errorf("context lines = %d, want 4", len(rep.Context))
+	if len(rep.Context) != 5 {
+		t.Errorf("context lines = %d, want 5", len(rep.Context))
 	}
-	if len(rep.Results) != 3 {
-		t.Fatalf("results = %d, want 3", len(rep.Results))
+	if len(rep.Results) != 7 {
+		t.Fatalf("results = %d, want 7", len(rep.Results))
+	}
+	// The second block is a GOMAXPROCS=1 run: go test adds no suffix, so
+	// the "-1" and "-4" belong to the sub-benchmark names.
+	for i, want := range []string{"EngineInvariant/cached", "EngineBatch/workers-1", "EngineBatch/workers-4", "EngineBatch/workers-1#01"} {
+		if r := rep.Results[3+i]; r.Name != want || r.Procs != 0 {
+			t.Errorf("GOMAXPROCS=1 result %d parsed as %+v, want name %q and no procs", i, r, want)
+		}
 	}
 	r := rep.Results[0]
 	if r.Name != "ImportValidation/quadratic/1000v" || r.Procs != 8 || r.Iterations != 3 || r.NsPerOp != 71879190 {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -148,6 +149,55 @@ func TestServeLoadEncodedInstance(t *testing.T) {
 	}
 	if loaded.ID != want {
 		t.Errorf("content address %s, want %s", loaded.ID, want)
+	}
+}
+
+// areaBlob hand-encodes, per the codec wire format (see package codec), a
+// one-region instance "P" holding a single area feature with integer
+// vertices.  topoinv.Encode needs a valid instance; this does not, so it can
+// produce well-formed bytes that describe invalid geometry.
+func areaBlob(outer [][2]int64, holes ...[][2]int64) string {
+	b := []byte("TINV\x01\x01")    // magic, version 1, instance payload
+	b = append(b, 1, 1, 'P', 1, 2) // one region name "P"; one feature, an area
+	ring := func(pts [][2]int64) {
+		b = binary.AppendUvarint(b, uint64(len(pts)))
+		for _, p := range pts {
+			for _, c := range p {
+				b = append(b, 0) // int64 rational: numerator, then denominator 1
+				b = binary.AppendVarint(b, c)
+				b = binary.AppendUvarint(b, 1)
+			}
+		}
+	}
+	ring(outer)
+	b = binary.AppendUvarint(b, uint64(len(holes)))
+	for _, h := range holes {
+		ring(h)
+	}
+	return base64.StdEncoding.EncodeToString(b)
+}
+
+// TestServeRejectsInvalidEncodedInstance: a base64 blob that decodes cleanly
+// but describes invalid geometry is refused with a 400, because decoding
+// hands every region to the instance's one validation gate.
+func TestServeRejectsInvalidEncodedInstance(t *testing.T) {
+	ts := testServer(t)
+	square := [][2]int64{{0, 0}, {8, 0}, {8, 8}, {0, 8}}
+	cases := []struct {
+		name string
+		data string
+		want int
+	}{
+		{"valid square", areaBlob(square), http.StatusOK},
+		{"bowtie", areaBlob([][2]int64{{0, 0}, {5, 0}, {5, 5}, {1, -1}}), http.StatusBadRequest},
+		{"hole touches outer ring", areaBlob(square, [][2]int64{{0, 0}, {3, 1}, {1, 3}}), http.StatusBadRequest},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if resp := postJSON(t, ts.URL+"/v1/instances", loadRequest{Data: tc.data}, nil); resp.StatusCode != tc.want {
+				t.Errorf("status %d, want %d", resp.StatusCode, tc.want)
+			}
+		})
 	}
 }
 

@@ -276,16 +276,14 @@ func WithNaivePairFinding() Option {
 }
 
 // Build computes the maximum topological cell decomposition of the instance.
+// It trusts the instance's geometry: spatial.Instance.Set validated every
+// region when the instance was built, so Build does not check it again.
 func Build(inst *spatial.Instance, opts ...Option) (*Complex, error) {
 	var cfg config
 	for _, o := range opts {
 		o(&cfg)
 	}
 	start := time.Now()
-	if err := inst.Validate(); err != nil {
-		mBuilds.With("error").Inc()
-		return nil, fmt.Errorf("arrangement: invalid instance: %w", err)
-	}
 
 	// 1. Subdivision.
 	sub := subdivide(inst, cfg.naivePairs)

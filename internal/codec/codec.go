@@ -683,7 +683,9 @@ func (r *reader) region() (region.Region, error) {
 			return region.Region{}, fmt.Errorf("codec: bad feature dimension %d", dim)
 		}
 	}
-	return region.New(features...)
+	// Unchecked: DecodeInstance hands the region to spatial.Instance.Set,
+	// which validates it.
+	return region.Region{Features: features}, nil
 }
 
 func (r *reader) cellRef() (invariant.CellRef, error) {

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -233,6 +234,49 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	}
 	if _, err := DecodeInstance(idata); err == nil {
 		t.Error("kind mismatch (invariant bytes as instance): want error")
+	}
+}
+
+// areaBlob encodes a one-region instance "P" holding a single area feature
+// with the package's writer directly.  EncodeInstance only ever sees valid
+// instances, so this is how a test gets well-formed bytes that describe
+// invalid geometry.
+func areaBlob(outer geom.Polygon, holes ...geom.Polygon) []byte {
+	w := newWriter(KindInstance)
+	w.uvarint(1)
+	w.string("P")
+	w.region(region.Region{Features: []region.Feature{region.AreaFeature(outer, holes...)}})
+	return w.bytes()
+}
+
+// TestDecodeRejectsInvalidGeometry pins that a blob which parses cleanly is
+// still rejected when its geometry is invalid: the decoder's only check is
+// the one spatial.Instance.Set runs, and it must not be skipped.
+func TestDecodeRejectsInvalidGeometry(t *testing.T) {
+	square := geom.Rect(0, 0, 8, 8)
+	cases := []struct {
+		name string
+		data []byte
+		want string // error substring; "" means the blob decodes
+	}{
+		{"valid square", areaBlob(square), ""},
+		{"bowtie", areaBlob(geom.Polygon{Vertices: []geom.Point{
+			geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(5, 5), geom.Pt(1, -1)}}),
+			"not a simple polygon"},
+		{"hole touches outer ring", areaBlob(square, geom.Polygon{Vertices: []geom.Point{
+			geom.Pt(0, 0), geom.Pt(3, 1), geom.Pt(1, 3)}}),
+			"touches the outer ring"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := DecodeInstance(tc.data)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("decode: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("decode error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }
 

@@ -255,12 +255,8 @@ func Realize(regionName string, cycles []Cycle) (*spatial.Instance, error) {
 		}
 		features = append(features, fs...)
 	}
-	reg, err := region.New(features...)
-	if err != nil {
-		return nil, err
-	}
 	inst := spatial.NewInstance(schema)
-	if err := inst.Set(regionName, reg); err != nil {
+	if err := inst.Set(regionName, region.Region{Features: features}); err != nil {
 		return nil, err
 	}
 	return inst, nil

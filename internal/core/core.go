@@ -87,11 +87,11 @@ type Database struct {
 // cache).  Without one, evaluators are compiled per database.
 func (db *Database) SetEvalSource(src EvalSource) { db.src = src }
 
-// Open prepares a database for the instance.
+// Open prepares a database for the instance.  It does not re-check the
+// geometry: a spatial.Instance is valid by construction (spatial.Instance.Set
+// validates every region), so opening costs nothing per ask.  The error
+// result is always nil and is kept for API stability.
 func Open(inst *spatial.Instance) (*Database, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
 	return &Database{inst: inst}, nil
 }
 
@@ -101,12 +101,7 @@ func Open(inst *spatial.Instance) (*Database, error) {
 // content-addressed cache guarantees this by keying invariants on the hash of
 // the encoded instance.  A nil inv behaves like Open.
 func OpenWith(inst *spatial.Instance, inv *invariant.Invariant) (*Database, error) {
-	db, err := Open(inst)
-	if err != nil {
-		return nil, err
-	}
-	db.inv = inv
-	return db, nil
+	return &Database{inst: inst, inv: inv}, nil
 }
 
 // Instance returns the underlying spatial instance.

@@ -18,7 +18,8 @@
 // produced by the collapse are merged; geometries that degenerate entirely
 // (a ring with fewer than three distinct vertices, a line with fewer than
 // two) are rejected, as are non-simple rings and holes that stray outside
-// their polygon, via the region layer's validation.
+// their polygon, by the one validation pass spatial.Instance.Set runs on
+// every region Import stores.
 //
 // Mapping.  Features are grouped into regions by a feature property
 // (DefaultNameProperty, configurable); features without it share one default
@@ -180,11 +181,7 @@ func Import(data []byte, opts ...Option) (*spatial.Instance, error) {
 	}
 	inst := spatial.NewInstance(schema)
 	for _, name := range imp.order {
-		rg, err := region.New(imp.features[name]...)
-		if err != nil {
-			return nil, fmt.Errorf("geojson: region %q: %w", name, err)
-		}
-		if err := inst.Set(name, rg); err != nil {
+		if err := inst.Set(name, region.Region{Features: imp.features[name]}); err != nil {
 			return nil, fmt.Errorf("geojson: %w", err)
 		}
 	}
@@ -447,8 +444,8 @@ func (imp *importer) ring(coords [][]*float64) (geom.Polygon, error) {
 	if pg.SignedArea2().Sign() == 0 {
 		return geom.Polygon{}, fmt.Errorf("degenerate ring: zero area")
 	}
-	// Ring simplicity is checked by region.New's feature validation when
-	// Import assembles the region (via the sweep-line checker) — running it
+	// Ring simplicity is checked by spatial.Instance.Set's validation when
+	// Import assembles the instance (via the sweep-line checker) — running it
 	// here too would double the worst-case cost the vertex limits are
 	// tuned for.
 	return pg, nil
@@ -483,12 +480,12 @@ func (imp *importer) polygon(coords [][][]*float64) (region.Feature, error) {
 	// Ring topology — simplicity of every ring and strict hole containment
 	// (a hole must sit strictly inside the outer ring and strictly outside
 	// every other hole; sharing even a single boundary point is rejected,
-	// see internal/sweep's pinned semantics) — is enforced by region.New's
-	// feature validation when Import assembles the region.  That validation
-	// runs the Bentley–Ottmann sweep: one O((n+k) log n) pass over all the
-	// polygon's edges detects every forbidden intersection, including hole
-	// edges escaping through concave notches (by the Jordan curve theorem an
-	// escaping edge must cross the outer boundary), and a per-hole parity
-	// query settles containment without pairwise tests.
+	// see internal/sweep's pinned semantics) — is enforced by
+	// spatial.Instance.Set's validation when Import assembles the instance.
+	// That validation runs the Bentley–Ottmann sweep: one O((n+k) log n) pass
+	// over all the polygon's edges detects every forbidden intersection,
+	// including hole edges escaping through concave notches (by the Jordan
+	// curve theorem an escaping edge must cross the outer boundary), and a
+	// per-hole parity query settles containment without pairwise tests.
 	return region.AreaFeature(outer, holes...), nil
 }

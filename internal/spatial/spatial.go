@@ -72,6 +72,11 @@ func (s *Schema) Index(name string) int {
 
 // Instance is a spatial database instance: a mapping from the schema's region
 // names to compact regions.
+//
+// An Instance is valid by construction: Set is the only way a region gets in,
+// and it runs the full geometry check, so nothing downstream (core.Open,
+// arrangement.Build) checks again.  A region's features must not be mutated
+// after Set; content addressing relies on that too.
 type Instance struct {
 	schema  *Schema
 	regions map[string]region.Region
@@ -108,7 +113,9 @@ func MustBuild(schema *Schema, regions map[string]region.Region) *Instance {
 func (i *Instance) Schema() *Schema { return i.schema }
 
 // Set assigns a region to a name; the name must be in the schema and the
-// region must validate.
+// region must validate.  This is the instance's one validation gate, so
+// callers holding raw features pass region.Region{Features: fs} rather than
+// checking them first with region.New.
 func (i *Instance) Set(name string, r region.Region) error {
 	if !i.schema.Has(name) {
 		return fmt.Errorf("spatial: region name %q not in schema", name)
@@ -204,7 +211,8 @@ func (i *Instance) AllConnected() bool {
 	return true
 }
 
-// Validate checks every region.
+// Validate re-runs the full check on every region.  Set has already run it,
+// so it passes on any instance; the fuzz oracles call it to confirm that.
 func (i *Instance) Validate() error {
 	for _, n := range i.schema.names {
 		if err := i.regions[n].Validate(); err != nil {

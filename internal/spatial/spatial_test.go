@@ -145,6 +145,20 @@ func TestBuildRejectsUnknownNames(t *testing.T) {
 	}
 }
 
+// TestSetValidates pins Set as the instance's validation gate: a region built
+// from raw, unchecked features is refused there, and the instance keeps no
+// trace of it.
+func TestSetValidates(t *testing.T) {
+	inst := NewInstance(MustSchema("P"))
+	bowtie := geom.Polygon{Vertices: []geom.Point{geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(5, 5), geom.Pt(1, -1)}}
+	if err := inst.Set("P", region.Region{Features: []region.Feature{region.AreaFeature(bowtie)}}); err == nil {
+		t.Fatal("Set accepted a bowtie polygon")
+	}
+	if !inst.Region("P").IsEmpty() {
+		t.Error("a rejected region was stored")
+	}
+}
+
 func TestEmptyInstanceBox(t *testing.T) {
 	inst := NewInstance(MustSchema("P"))
 	if _, ok := inst.Box(); ok {

@@ -525,12 +525,8 @@ func InvertToLinear(inv *invariant.Invariant) (*spatial.Instance, error) {
 		if len(features) == 0 {
 			continue
 		}
-		reg, err := region.New(features...)
-		if err != nil {
-			return nil, fmt.Errorf("translate: inversion produced an invalid region %q: %w", name, err)
-		}
-		if err := out.Set(name, reg); err != nil {
-			return nil, err
+		if err := out.Set(name, region.Region{Features: features}); err != nil {
+			return nil, fmt.Errorf("translate: inversion produced an invalid region: %w", err)
 		}
 	}
 	return out, nil
@@ -725,13 +721,8 @@ func (fo *FOQuery) realizeRepresentative(cycles []cones.Cycle, hasInterior, hasE
 	if len(extra) == 0 {
 		return rep, nil
 	}
-	reg := rep.Region(fo.Region)
-	features := append(append([]region.Feature{}, reg.Features...), extra...)
-	newReg, err := region.New(features...)
-	if err != nil {
-		return nil, err
-	}
-	if err := rep.Set(fo.Region, newReg); err != nil {
+	features := append(append([]region.Feature{}, rep.Region(fo.Region).Features...), extra...)
+	if err := rep.Set(fo.Region, region.Region{Features: features}); err != nil {
 		return nil, err
 	}
 	return rep, nil

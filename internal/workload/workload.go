@@ -87,11 +87,7 @@ func LandUse(p LandUseParams) (*spatial.Instance, error) {
 		if len(fs) == 0 {
 			continue
 		}
-		reg, err := region.New(fs...)
-		if err != nil {
-			return nil, err
-		}
-		if err := inst.Set(names[c], reg); err != nil {
+		if err := inst.Set(names[c], region.Region{Features: fs}); err != nil {
 			return nil, err
 		}
 	}
@@ -170,11 +166,7 @@ func Hydrography(p HydrographyParams) (*spatial.Instance, error) {
 		riverFeatures = append(riverFeatures, region.LineFeature(pl))
 	}
 	if len(riverFeatures) > 0 {
-		reg, err := region.New(riverFeatures...)
-		if err != nil {
-			return nil, err
-		}
-		if err := inst.Set("rivers", reg); err != nil {
+		if err := inst.Set("rivers", region.Region{Features: riverFeatures}); err != nil {
 			return nil, err
 		}
 	}
@@ -186,11 +178,7 @@ func Hydrography(p HydrographyParams) (*spatial.Instance, error) {
 		lakeFeatures = append(lakeFeatures, region.AreaFeature(jaggedRect(cx, cy, w, h, 6, rng)))
 	}
 	if len(lakeFeatures) > 0 {
-		reg, err := region.New(lakeFeatures...)
-		if err != nil {
-			return nil, err
-		}
-		if err := inst.Set("lakes", reg); err != nil {
+		if err := inst.Set("lakes", region.Region{Features: lakeFeatures}); err != nil {
 			return nil, err
 		}
 	}
@@ -248,16 +236,12 @@ func NestedRegions(levels int) (*spatial.Instance, error) {
 		))
 	}
 	features = append(features, region.PointFeature(geom.Pt(size+30, 0)))
-	reg, err := region.New(features...)
-	if err != nil {
-		return nil, err
-	}
 	schema, err := spatial.NewSchema("P")
 	if err != nil {
 		return nil, err
 	}
 	inst := spatial.NewInstance(schema)
-	if err := inst.Set("P", reg); err != nil {
+	if err := inst.Set("P", region.Region{Features: features}); err != nil {
 		return nil, err
 	}
 	return inst, nil
@@ -281,11 +265,7 @@ func MultiComponent(n int) (*spatial.Instance, error) {
 	}
 	inst := spatial.NewInstance(schema)
 	if len(features) > 0 {
-		reg, err := region.New(features...)
-		if err != nil {
-			return nil, err
-		}
-		if err := inst.Set("P", reg); err != nil {
+		if err := inst.Set("P", region.Region{Features: features}); err != nil {
 			return nil, err
 		}
 	}
