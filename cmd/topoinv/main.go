@@ -1,4 +1,4 @@
-// Command topoinv is the CLI around the library.  It has five subcommands:
+// Command topoinv is the CLI around the library.  It has seven subcommands:
 //
 //	topoinv measure -workload landuse -scale 1 -strategy fixpoint
 //	    generate a built-in workload, print the compression statistics of the
@@ -22,10 +22,7 @@
 //	topoinv serve -addr :8080 [-store dir]
 //	    run the concurrent query engine behind a small HTTP JSON API, with an
 //	    optional disk-persistent invariant store, Prometheus metrics at
-//	    /metrics, structured logging and graceful shutdown;
-//	topoinv loadgen -addr http://host:8080 -qps 200 -duration 10s
-//	    drive a running server with a steady ask/batch/import mix and report
-//	    throughput and latency percentiles (benchjson-compatible JSON via -o).
+//	    /metrics, structured logging and graceful shutdown.
 //
 // Running with no subcommand behaves like "measure" (the historical CLI).
 package main
@@ -46,7 +43,7 @@ func main() {
 	cmd := "measure"
 	if len(args) > 0 {
 		switch {
-		case args[0] == "measure" || args[0] == "encode" || args[0] == "decode" || args[0] == "serve" || args[0] == "import" || args[0] == "ask" || args[0] == "similar" || args[0] == "loadgen":
+		case args[0] == "measure" || args[0] == "encode" || args[0] == "decode" || args[0] == "serve" || args[0] == "import" || args[0] == "ask" || args[0] == "similar":
 			cmd, args = args[0], args[1:]
 		case args[0] == "-h" || args[0] == "--help" || args[0] == "help":
 			usage()
@@ -72,8 +69,6 @@ func main() {
 		runSimilar(args)
 	case "serve":
 		runServe(args)
-	case "loadgen":
-		runLoadgen(args)
 	}
 }
 
@@ -88,7 +83,6 @@ commands:
   ask       answer one FO(P,<x,<y) sentence against an instance
   similar   rank a store's instances by topological similarity to a probe
   serve     run the query engine as an HTTP JSON service
-  loadgen   drive a running server at a target QPS and report latency percentiles
 
 Run "topoinv <command> -h" for per-command flags.
 `)

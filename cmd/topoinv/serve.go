@@ -79,6 +79,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -260,7 +261,7 @@ func (s *server) routes() http.Handler {
 	s.handle(mux, "POST /v1/ask", "/v1/ask", s.handleAsk)
 	s.handle(mux, "POST /v1/batch", "/v1/batch", s.handleBatch)
 	s.handle(mux, "GET /v1/stats", "/v1/stats", s.handleStats)
-	s.handle(mux, "GET /metrics", "/metrics", handleMetrics)
+	s.handle(mux, "GET /metrics", "/metrics", s.handleMetrics)
 	return mux
 }
 
@@ -875,21 +876,26 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 	// backwards); a cached response would mask exactly that signal.
 	w.Header().Set("Cache-Control", "no-store, no-cache, must-revalidate")
 	w.Header().Set("Pragma", "no-cache")
+	metrics := topoinv.Metrics.Snapshot()
+	maps.Copy(metrics, s.engine.Metrics().Snapshot())
 	writeJSON(w, http.StatusOK, statsResponse{
 		EngineStats:   s.engine.Stats(),
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Build:         s.build,
-		Metrics:       topoinv.MetricsSnapshot(),
+		Metrics:       metrics,
 	})
 }
 
 // handleMetrics renders every registered instrument in the Prometheus text
-// exposition format.
-func handleMetrics(w http.ResponseWriter, r *http.Request) {
+// exposition format: the process-wide registry, then the engine's own.
+func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-store")
-	if err := topoinv.WriteMetrics(w); err != nil {
-		slog.Debug("serve: metrics client gone", "err", err)
+	for _, reg := range []*topoinv.MetricsRegistry{topoinv.Metrics, s.engine.Metrics()} {
+		if err := reg.WritePrometheus(w); err != nil {
+			slog.Debug("serve: metrics client gone", "err", err)
+			return
+		}
 	}
 }
 

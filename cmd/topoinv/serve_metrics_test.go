@@ -17,7 +17,9 @@ var promSampleRe = regexp.MustCompile(
 		` (-?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?|\+Inf|-Inf|NaN)$`)
 
 // scrapeMetrics fetches /metrics, fails the test on any malformed exposition
-// line, and returns every sample keyed by its full name (labels included).
+// line or on a family declared twice (registered both process-wide and in
+// the engine's registry), and returns every sample keyed by its full name
+// (labels included).
 func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
@@ -32,11 +34,20 @@ func scrapeMetrics(t *testing.T, base string) map[string]float64 {
 		t.Errorf("GET /metrics: Content-Type %q, want the 0.0.4 text exposition type", ct)
 	}
 	samples := make(map[string]float64)
+	typed := make(map[string]bool)
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+		if family, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family, _, _ = strings.Cut(family, " ")
+			if typed[family] {
+				t.Fatalf("family %s is declared twice in one exposition", family)
+			}
+			typed[family] = true
+			continue
+		}
+		if line == "" || strings.HasPrefix(line, "# HELP ") {
 			continue
 		}
 		if !promSampleRe.MatchString(line) {
@@ -68,8 +79,8 @@ func sumPrefix(samples map[string]float64, family string) float64 {
 
 // TestMetricsEndpoint checks the exposition parses and that all five
 // instrumented layers (engine, store, sweep, arrangement, HTTP) publish
-// families — the registry is process-global, so families register as soon as
-// the packages link, before any traffic.
+// families before any traffic: the process-wide families register as soon
+// as the packages link, the engine's when the engine is created.
 func TestMetricsEndpoint(t *testing.T) {
 	ts := testServer(t)
 	body := scrapeText(t, ts.URL)
@@ -107,8 +118,8 @@ func scrapeText(t *testing.T, base string) string {
 
 // TestMetricsMoveAfterAsk pins the tentpole acceptance criterion: an ask
 // observably moves the engine latency histogram, the answer-cache counters
-// and the per-route HTTP counters.  The registry is process-global (other
-// tests in the package also drive it), so every assertion is a delta.
+// and the per-route HTTP counters.  The HTTP registry is process-global
+// (other tests in the package also drive it), so every assertion is a delta.
 func TestMetricsMoveAfterAsk(t *testing.T) {
 	ts := testServer(t)
 

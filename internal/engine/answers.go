@@ -1,12 +1,10 @@
 package engine
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"io"
-	"sync"
 
 	"repro/internal/core"
 )
@@ -15,10 +13,6 @@ import (
 // Entries are a hash key plus a Boolean, so the default is deliberately much
 // larger than the invariant cache's.
 const DefaultAnswerCapacity = 65536
-
-// answerShards is the fan-out of the answer cache; keys are hex SHA-256, so
-// the leading digit distributes uniformly.
-const answerShards = 16
 
 // answerKey is the content address of one evaluation: the hex SHA-256 of the
 // length-framed (instance key, canonical query text, resolved strategy)
@@ -39,93 +33,4 @@ func answerKey(instKey, canonical string, s core.Strategy) string {
 	binary.BigEndian.PutUint64(frame[:], uint64(s))
 	h.Write(frame[:])
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// answerCache is a sharded LRU of Boolean query answers.  Instances are
-// content-addressed and invariants immutable, so entries can never go stale;
-// the LRU bound only caps memory.
-type answerCache struct {
-	usedShards int
-	shards     [answerShards]answerShard
-}
-
-type answerShard struct {
-	mu       sync.Mutex
-	capacity int
-	lru      *list.List // of *answerEntry, front = most recently used
-	m        map[string]*list.Element
-}
-
-type answerEntry struct {
-	key    string
-	answer bool
-}
-
-// initAnswers mirrors the invariant cache's sizing: capacities below the
-// shard count use one shard per entry so small caches stay exactly bounded;
-// larger ones round up to a per-shard bound.  Returns the effective capacity.
-func (c *answerCache) init(capacity int) int {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.usedShards = answerShards
-	if capacity < answerShards {
-		c.usedShards = capacity
-	}
-	perShard := (capacity + c.usedShards - 1) / c.usedShards
-	for i := range c.shards {
-		c.shards[i] = answerShard{
-			capacity: perShard,
-			lru:      list.New(),
-			m:        make(map[string]*list.Element),
-		}
-	}
-	return perShard * c.usedShards
-}
-
-func (c *answerCache) shardFor(key string) *answerShard {
-	if len(key) == 0 {
-		return &c.shards[0]
-	}
-	return &c.shards[hexVal(key[0])%c.usedShards]
-}
-
-func (c *answerCache) get(key string) (answer, ok bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.m[key]
-	if !ok {
-		return false, false
-	}
-	sh.lru.MoveToFront(el)
-	return el.Value.(*answerEntry).answer, true
-}
-
-func (c *answerCache) put(key string, answer bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.m[key]; ok {
-		sh.lru.MoveToFront(el)
-		el.Value.(*answerEntry).answer = answer
-		return
-	}
-	sh.m[key] = sh.lru.PushFront(&answerEntry{key: key, answer: answer})
-	for sh.lru.Len() > sh.capacity {
-		tail := sh.lru.Back()
-		sh.lru.Remove(tail)
-		delete(sh.m, tail.Value.(*answerEntry).key)
-	}
-}
-
-func (c *answerCache) size() int {
-	n := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		n += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	return n
 }

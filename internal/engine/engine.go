@@ -11,9 +11,10 @@
 // requests for the same uncached instance are deduplicated singleflight-style
 // so the arrangement is built exactly once.
 //
-// The in-memory cache is sharded by the leading hex digit of the content key
-// (16 shards, each with its own mutex, LRU list and in-flight table), so
-// Batch workers hitting different instances do not serialize on one lock.
+// The invariant, compiled-evaluator and answer caches are all one type,
+// lru.Sharded: sharded by the leading hex digit of the content key (up to 16
+// shards, each with its own mutex, LRU list and in-flight table), so Batch
+// workers hitting different instances do not serialize on one lock.
 // With WithStore the engine also layers over a disk store (package store):
 // a memory miss falls through to disk before recomputing, and every freshly
 // computed invariant is persisted, so a restarted engine pointed at the same
@@ -24,23 +25,26 @@
 // core.Database (whose lazy evaluator state is not concurrency-safe), seeded
 // with the shared invariant via core.OpenWith so that cache hits do no
 // arrangement work.
+//
+// Every figure the engine counts lives in one obs registry per engine
+// (Metrics); Stats reads it back together with the cache sizes.
 package engine
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"log/slog"
+	"math"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/invariant"
+	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/pointfo"
 	"repro/internal/queryl"
@@ -53,10 +57,6 @@ import (
 // DefaultCacheCapacity bounds the invariant cache when no option is given.
 const DefaultCacheCapacity = 128
 
-// cacheShards is the fan-out of the in-memory cache.  Content keys are hex
-// SHA-256, so the leading digit distributes uniformly.
-const cacheShards = 16
-
 // Option configures an Engine.
 type Option func(*Engine)
 
@@ -66,12 +66,7 @@ type Option func(*Engine)
 // so the effective bound rounds up to the next multiple of 16 (e.g. 17 →
 // 32; Stats reports the effective figure).  Values < 1 are treated as 1.
 func WithCacheCapacity(n int) Option {
-	return func(e *Engine) {
-		if n < 1 {
-			n = 1
-		}
-		e.capacity = n
-	}
+	return func(e *Engine) { e.capacity = n }
 }
 
 // WithWorkers sets the worker-pool size used by Batch.  Values < 1 are
@@ -98,38 +93,30 @@ func WithStore(dir string) Option {
 // to a multiple of 16 (Stats reports the effective figure).  Values < 1 are
 // treated as 1.
 func WithAnswerCapacity(n int) Option {
-	return func(e *Engine) {
-		if n < 1 {
-			n = 1
-		}
-		e.answerCapacity = n
-	}
+	return func(e *Engine) { e.answerCapacity = n }
 }
 
 // Engine is a concurrent topological query engine.  All methods are safe for
 // concurrent use.
 type Engine struct {
-	capacity       int
-	workers        int
-	storeDir       string
-	answerCapacity int
-	usedShards     int // min(cacheShards, capacity): small caches stay exact
+	// Requested cache capacities; New sizes the caches from them.
+	capacity, evalCapacity, answerCapacity int
+	workers                                int
+	storeDir                               string
 
-	shards [cacheShards]cacheShard
+	m *metrics
 
-	// evalShards cache compiled evaluators per instance content address —
+	invariants *lru.Sharded[*invariant.Invariant]
+	// evaluators caches compiled evaluators per instance content address —
 	// see evalcache.go.
-	evalCapacity   int
-	evalUsedShards int
-	evalShards     [cacheShards]evalShard
-
+	evaluators *lru.Sharded[*pointfo.CompiledEvaluator]
 	// answers caches Boolean query results keyed by (instance content
 	// address, canonical query text, resolved strategy) — see answerKey.
 	// It sits in front of invariant computation: a repeated ask is served
 	// without touching the invariant cache, the disk store or the evaluator.
-	answers      answerCache
-	answerHits   atomic.Uint64
-	answerMisses atomic.Uint64
+	// Content addresses are immutable, so entries never go stale; the LRU
+	// bound only caps memory.
+	answers *lru.Sharded[bool]
 
 	store    *store.Store
 	storeErr error
@@ -137,10 +124,7 @@ type Engine struct {
 	// sim is the two-tier similarity index over every invariant this engine
 	// has computed or loaded; persisted beside the store as SIMINDEX.bin
 	// (see simindex.go in this package).
-	sim          *simindex.Index
-	simLoaded    atomic.Uint64
-	simReindexed atomic.Uint64
-	simErrors    atomic.Uint64
+	sim *simindex.Index
 
 	// keyMemo memoizes content addresses per instance pointer, so repeated
 	// queries against the same *spatial.Instance do not re-serialize the
@@ -150,110 +134,34 @@ type Engine struct {
 	// outgrows its bound so it cannot pin arbitrarily many instances.
 	keyMu   sync.Mutex
 	keyMemo map[*spatial.Instance]string
-
-	computes    atomic.Uint64
-	storeHits   atomic.Uint64
-	storePuts   atomic.Uint64
-	storeErrors atomic.Uint64
-
-	// autoQueries counts queries submitted with core.Auto; autoFallbacks
-	// counts the subset that resolved to Direct because the invariant was
-	// outside the invertible class (or failed to compute).  The resolved
-	// strategies' own counters in strat record the evaluations themselves.
-	autoQueries   atomic.Uint64
-	autoFallbacks atomic.Uint64
-
-	strat [core.ViaLinearized + 1]stratCounters
-}
-
-// cacheShard is one slice of the content-addressed cache: an LRU-bounded
-// key→invariant map plus the in-flight table for singleflight dedup, all
-// under one mutex.
-type cacheShard struct {
-	mu       sync.Mutex
-	capacity int
-	lru      *list.List // of *entry, front = most recently used
-	cache    map[string]*list.Element
-	inflight map[string]*call
-
-	hits      uint64
-	misses    uint64
-	dedups    uint64
-	evictions uint64
-}
-
-type entry struct {
-	key string
-	inv *invariant.Invariant
-}
-
-// call is an in-flight invariant computation other goroutines can wait on.
-type call struct {
-	done chan struct{}
-	inv  *invariant.Invariant
-	err  error
-}
-
-type stratCounters struct {
-	queries   atomic.Uint64
-	errors    atomic.Uint64
-	latencyNS atomic.Int64
 }
 
 // New creates an engine.
 func New(opts ...Option) *Engine {
 	e := &Engine{
 		capacity:       DefaultCacheCapacity,
-		workers:        runtime.GOMAXPROCS(0),
-		answerCapacity: DefaultAnswerCapacity,
 		evalCapacity:   DefaultEvaluatorCapacity,
+		answerCapacity: DefaultAnswerCapacity,
+		workers:        runtime.GOMAXPROCS(0),
 		keyMemo:        make(map[*spatial.Instance]string),
+		m:              newMetrics(),
 	}
 	for _, o := range opts {
 		o(e)
 	}
-	e.answerCapacity = e.answers.init(e.answerCapacity)
-	// A capacity below the shard count would be inflated by per-shard
-	// minimums (capacity 1 becoming 16 resident invariants); routing keys
-	// over only `capacity` shards keeps small caches exactly bounded.
-	e.usedShards = cacheShards
-	if e.capacity < cacheShards {
-		e.usedShards = e.capacity
-	}
-	perShard := (e.capacity + e.usedShards - 1) / e.usedShards
-	// Report the bound actually enforced (per-shard × shards), not the
-	// requested figure, so cache_size can never exceed cache_capacity in a
-	// stats snapshot.
-	e.capacity = perShard * e.usedShards
-	for i := range e.shards {
-		e.shards[i] = cacheShard{
-			capacity: perShard,
-			lru:      list.New(),
-			cache:    make(map[string]*list.Element),
-			inflight: make(map[string]*call),
-		}
-	}
-	// The evaluator cache follows the same exact-bound rule.
-	e.evalUsedShards = cacheShards
-	if e.evalCapacity < cacheShards {
-		e.evalUsedShards = e.evalCapacity
-	}
-	evalPerShard := (e.evalCapacity + e.evalUsedShards - 1) / e.evalUsedShards
-	e.evalCapacity = evalPerShard * e.evalUsedShards
-	for i := range e.evalShards {
-		e.evalShards[i] = evalShard{
-			capacity: evalPerShard,
-			lru:      list.New(),
-			cache:    make(map[string]*list.Element),
-			inflight: make(map[string]*evalCall),
-		}
-	}
+	e.invariants = lru.New[*invariant.Invariant](e.capacity, e.m.inv)
+	e.evaluators = lru.New[*pointfo.CompiledEvaluator](e.evalCapacity, e.m.eval)
+	e.answers = lru.New[bool](e.answerCapacity, lru.Counters{})
 	if e.storeDir != "" {
 		e.store, e.storeErr = store.Open(e.storeDir)
 	}
 	e.simInit()
 	return e
 }
+
+// Metrics returns the engine's own registry: every topoinv_engine_* family,
+// counted for this engine alone.
+func (e *Engine) Metrics() *obs.Registry { return e.m.reg }
 
 // StoreErr reports whether WithStore failed to open its directory.  Engines
 // without a store always return nil.
@@ -281,25 +189,6 @@ func InstanceKey(inst *spatial.Instance) (string, error) {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// shardFor routes a content key (hex) to its cache shard.
-func (e *Engine) shardFor(key string) *cacheShard {
-	if len(key) == 0 {
-		return &e.shards[0]
-	}
-	return &e.shards[hexVal(key[0])%e.usedShards]
-}
-
-func hexVal(b byte) int {
-	switch {
-	case b >= '0' && b <= '9':
-		return int(b - '0')
-	case b >= 'a' && b <= 'f':
-		return int(b-'a') + 10
-	default:
-		return 0
-	}
 }
 
 // Invariant returns top(inst), computing it at most once per instance content
@@ -339,69 +228,18 @@ func (e *Engine) CachedInvariant(inst *spatial.Instance) (*invariant.Invariant, 
 	if err != nil {
 		return nil, false
 	}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.cache[key]; ok {
-		sh.lru.MoveToFront(el)
-		return el.Value.(*entry).inv, true
-	}
-	return nil, false
+	return e.invariants.Get(key)
 }
 
 // invariant reports whether the invariant came from the memory cache (hit);
 // waiting on another goroutine's in-flight compute, a disk-store hit and a
 // fresh computation all count as misses.
-func (e *Engine) invariant(inst *spatial.Instance) (inv *invariant.Invariant, hit bool, err error) {
+func (e *Engine) invariant(inst *spatial.Instance) (*invariant.Invariant, bool, error) {
 	key, err := e.key(inst)
 	if err != nil {
 		return nil, false, fmt.Errorf("engine: %w", err)
 	}
-	sh := e.shardFor(key)
-
-	//lint:allow lockdiscipline(the hit and dedup branches must release before returning or blocking on c.done — holding the shard across an invariant build would serialize the cache; every branch unlocks before its return)
-	sh.mu.Lock()
-	if el, ok := sh.cache[key]; ok {
-		sh.lru.MoveToFront(el)
-		sh.hits++
-		inv := el.Value.(*entry).inv
-		sh.mu.Unlock()
-		mInvHits.Inc()
-		return inv, true, nil
-	}
-	if c, ok := sh.inflight[key]; ok {
-		sh.dedups++
-		sh.misses++
-		sh.mu.Unlock()
-		mInvDedups.Inc()
-		mInvMisses.Inc()
-		<-c.done
-		return c.inv, false, c.err
-	}
-	c := &call{done: make(chan struct{})}
-	sh.inflight[key] = c
-	sh.misses++
-	sh.mu.Unlock()
-	mInvMisses.Inc()
-
-	// The inflight entry must be cleared and done closed even if Compute
-	// panics (the geometry layer has panic sites); otherwise every later
-	// request for this key would block forever on c.done.
-	defer func() {
-		if r := recover(); r != nil {
-			c.inv, c.err = nil, fmt.Errorf("engine: invariant computation panicked: %v", r)
-			inv, err = c.inv, c.err
-		}
-		sh.mu.Lock()
-		delete(sh.inflight, key)
-		if c.err == nil {
-			sh.insert(key, c.inv)
-		}
-		sh.mu.Unlock()
-		close(c.done)
-	}()
-	c.inv, c.err = e.load(key, inst)
-	return c.inv, false, c.err
+	return e.invariants.GetOrBuild(key, func() (*invariant.Invariant, error) { return e.load(key, inst) })
 }
 
 // load resolves a memory miss: disk store first (when configured), then a
@@ -416,28 +254,22 @@ func (e *Engine) load(key string, inst *spatial.Instance) (*invariant.Invariant,
 	overwrite := false
 	if e.store != nil {
 		if data, ok, err := e.store.Get(key); err != nil {
-			e.storeErrors.Add(1)
-			mStoreErrs.Inc()
+			e.m.storeErrs.Inc()
 			// The key may be present but unreadable; a plain Put would
 			// no-op and leave the bad record in place.
 			overwrite = true
 		} else if ok {
 			inv, derr := codec.DecodeInvariant(data)
 			if derr == nil {
-				e.storeHits.Add(1)
-				mStoreHits.Inc()
+				e.m.storeHits.Inc()
 				e.simAdd(key, inv)
 				return inv, nil
 			}
-			e.storeErrors.Add(1)
-			mStoreErrs.Inc()
+			e.m.storeErrs.Inc()
 			overwrite = true
 		}
 	}
-	e.computes.Add(1)
-	start := time.Now()
-	inv, err := invariant.Compute(inst)
-	mInvariantBuild.ObserveDuration(time.Since(start))
+	inv, err := e.compute(inst)
 	if err != nil {
 		return nil, err
 	}
@@ -447,35 +279,24 @@ func (e *Engine) load(key string, inst *spatial.Instance) (*invariant.Invariant,
 			put = e.store.Replace
 		}
 		if data, eerr := codec.EncodeInvariant(inv); eerr != nil {
-			e.storeErrors.Add(1)
-			mStoreErrs.Inc()
+			e.m.storeErrs.Inc()
 		} else if perr := put(key, data); perr != nil {
-			e.storeErrors.Add(1)
-			mStoreErrs.Inc()
+			e.m.storeErrs.Inc()
 		} else {
-			e.storePuts.Add(1)
-			mStorePuts.Inc()
+			e.m.storePuts.Inc()
 		}
 	}
 	e.simAdd(key, inv)
 	return inv, nil
 }
 
-// insert adds an entry and evicts from the LRU tail past the shard capacity.
-// Called with sh.mu held.
-func (sh *cacheShard) insert(key string, inv *invariant.Invariant) {
-	if el, ok := sh.cache[key]; ok {
-		sh.lru.MoveToFront(el)
-		return
-	}
-	sh.cache[key] = sh.lru.PushFront(&entry{key: key, inv: inv})
-	for sh.lru.Len() > sh.capacity {
-		tail := sh.lru.Back()
-		sh.lru.Remove(tail)
-		delete(sh.cache, tail.Value.(*entry).key)
-		sh.evictions++
-		mInvEvictions.Inc()
-	}
+// compute runs invariant.Compute under the build histogram.  The deferred
+// observation also times failed and panicking runs: the histogram's count is
+// Stats.Computes.
+func (e *Engine) compute(inst *spatial.Instance) (*invariant.Invariant, error) {
+	start := time.Now()
+	defer func() { e.m.invariantBuild.ObserveDuration(time.Since(start)) }()
+	return invariant.Compute(inst)
 }
 
 // Request is one query against one instance.
@@ -627,8 +448,8 @@ func (e *Engine) BatchStream(reqs []Request, s core.Strategy) <-chan Result {
 func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 	start := time.Now()
 	res = Result{Index: index, Strategy: s}
-	mInflight.Add(1)
-	defer mInflight.Add(-1)
+	e.m.inflight.Add(1)
+	defer e.m.inflight.Add(-1)
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("engine: query evaluation panicked: %v", r)
@@ -652,7 +473,7 @@ func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 	var inv *invariant.Invariant
 	var err error
 	if s == core.Auto {
-		e.autoQueries.Add(1)
+		e.m.autoQueries.Inc()
 		sp := req.Span.Child("resolve")
 		inv, res.CacheHit, err = e.invariant(req.Instance)
 		sp.End()
@@ -662,7 +483,7 @@ func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 			// Direct evaluation needs no invariant, so a computation failure
 			// falls back rather than erroring.
 			res.Strategy = core.Direct
-			e.autoFallbacks.Add(1)
+			e.m.autoFallbacks.Inc()
 			inv, err = nil, nil
 		}
 	}
@@ -671,18 +492,16 @@ func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 	if res.Canonical != "" && keyErr == nil {
 		sp := req.Span.Child("answer_cache")
 		akey = answerKey(instKey, res.Canonical, res.Strategy)
-		ans, ok := e.answers.get(akey)
+		ans, ok := e.answers.Get(akey)
 		sp.End()
 		if ok {
-			e.answerHits.Add(1)
-			mAnswerHits.Inc()
+			e.m.answerHits.Inc()
 			res.Answer, res.AnswerHit = ans, true
 			res.Latency = time.Since(start)
 			e.record(res.Strategy, res)
 			return res
 		}
-		e.answerMisses.Add(1)
-		mAnswerMisses.Inc()
+		e.m.answerMisses.Inc()
 	}
 
 	var db *core.Database
@@ -713,7 +532,7 @@ func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 		res.Answer, err = db.Ask(req.Query, res.Strategy)
 		sp.End()
 		if err == nil && akey != "" {
-			e.answers.put(akey, res.Answer)
+			e.answers.Put(akey, res.Answer)
 		}
 	}
 	res.Err = err
@@ -731,18 +550,12 @@ func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 }
 
 func (e *Engine) record(s core.Strategy, res Result) {
-	if s < 0 || int(s) >= len(e.strat) {
-		return
+	if s < core.Direct || s > core.ViaLinearized {
+		return // Auto left unresolved by a panic: no strategy ran
 	}
-	c := &e.strat[s]
-	c.queries.Add(1)
-	if res.Err != nil {
-		c.errors.Add(1)
-	}
-	c.latencyNS.Add(res.Latency.Nanoseconds())
 	name := s.String()
-	mQueries.With(name, statusOutcome(res.Err)).Inc()
-	mQueryLatency.With(name).ObserveDuration(res.Latency)
+	e.m.queries.With(name, statusOutcome(res.Err)).Inc()
+	e.m.queryLatency.With(name).ObserveDuration(res.Latency)
 }
 
 // StrategyStats is the per-strategy counter snapshot.
@@ -805,64 +618,65 @@ type Stats struct {
 }
 
 // Stats returns a snapshot of the engine's cache, store and per-strategy
-// counters.  Strategies that served no queries are omitted.
+// counters, read from its metrics registry.  Strategies that served no
+// queries are omitted.
 func (e *Engine) Stats() Stats {
+	m := e.m
 	st := Stats{
-		CacheCapacity:  e.capacity,
-		CacheShards:    e.usedShards,
-		EvalCapacity:   e.evalCapacity,
-		AnswerHits:     e.answerHits.Load(),
-		AnswerMisses:   e.answerMisses.Load(),
-		AnswerSize:     e.answers.size(),
-		AnswerCapacity: e.answerCapacity,
-		Computes:       e.computes.Load(),
-		StoreHits:      e.storeHits.Load(),
-		StorePuts:      e.storePuts.Load(),
-		StoreErrors:    e.storeErrors.Load(),
-		AutoQueries:    e.autoQueries.Load(),
-		AutoFallbacks:  e.autoFallbacks.Load(),
-		SimLoaded:      e.simLoaded.Load(),
-		SimReindexed:   e.simReindexed.Load(),
-		SimErrors:      e.simErrors.Load(),
+		CacheHits:      m.inv.Hits.Value(),
+		CacheMisses:    m.inv.Misses.Value(),
+		CacheDedups:    m.inv.Dedups.Value(),
+		CacheEvictions: m.inv.Evictions.Value(),
+		CacheSize:      e.invariants.Len(),
+		CacheCapacity:  e.invariants.Capacity(),
+		CacheShards:    e.invariants.Shards(),
+		AnswerHits:     m.answerHits.Value(),
+		AnswerMisses:   m.answerMisses.Value(),
+		AnswerSize:     e.answers.Len(),
+		AnswerCapacity: e.answers.Capacity(),
+		EvalHits:       m.eval.Hits.Value(),
+		EvalMisses:     m.eval.Misses.Value(),
+		EvalDedups:     m.eval.Dedups.Value(),
+		EvalEvictions:  m.eval.Evictions.Value(),
+		EvalSize:       e.evaluators.Len(),
+		EvalCapacity:   e.evaluators.Capacity(),
+		Computes:       m.invariantBuild.Count(),
+		StoreHits:      m.storeHits.Value(),
+		StorePuts:      m.storePuts.Value(),
+		StoreErrors:    m.storeErrs.Value(),
+		SimLoaded:      m.simLoaded.Value(),
+		SimReindexed:   m.simReindexed.Value(),
+		SimErrors:      m.simErrors.Value(),
+		AutoQueries:    m.autoQueries.Value(),
+		AutoFallbacks:  m.autoFallbacks.Value(),
 	}
 	if e.sim != nil {
 		st.Sim = e.sim.Stats()
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		st.CacheHits += sh.hits
-		st.CacheMisses += sh.misses
-		st.CacheDedups += sh.dedups
-		st.CacheEvictions += sh.evictions
-		st.CacheSize += sh.lru.Len()
-		sh.mu.Unlock()
-	}
-	for i := range e.evalShards {
-		sh := &e.evalShards[i]
-		sh.mu.Lock()
-		st.EvalHits += sh.hits
-		st.EvalMisses += sh.misses
-		st.EvalDedups += sh.dedups
-		st.EvalEvictions += sh.evictions
-		st.EvalSize += sh.lru.Len()
-		sh.mu.Unlock()
 	}
 	if e.store != nil {
 		ss := e.store.Stats()
 		st.Store = &ss
 	}
-	for s := range e.strat {
-		c := &e.strat[s]
-		q := c.queries.Load()
+	// Lookup, not With: reading must not create zero-valued children in the
+	// exposition.
+	for s := core.Direct; s <= core.ViaLinearized; s++ {
+		name := s.String()
+		h := m.queryLatency.Lookup(name)
+		if h == nil {
+			continue
+		}
+		q, total := h.Count(), time.Duration(math.Round(h.Sum()*float64(time.Second)))
 		if q == 0 {
 			continue
 		}
-		total := time.Duration(c.latencyNS.Load())
+		var errs uint64
+		if c := m.queries.Lookup(name, "error"); c != nil {
+			errs = c.Value()
+		}
 		st.Strategies = append(st.Strategies, StrategyStats{
-			Strategy:     core.Strategy(s).String(),
+			Strategy:     name,
 			Queries:      q,
-			Errors:       c.errors.Load(),
+			Errors:       errs,
 			TotalLatency: total,
 			AvgLatency:   total / time.Duration(q),
 		})

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/invariant"
+	"repro/internal/lru"
 	"repro/internal/pointfo"
 	"repro/internal/spatial"
 	"repro/internal/workload"
@@ -39,6 +43,10 @@ func TestInvariantCacheHit(t *testing.T) {
 		t.Error("second Invariant call did not return the cached invariant")
 	}
 
+	// CachedInvariant peeks without counting.
+	if c, ok := e.CachedInvariant(inst); !ok || c != a {
+		t.Error("CachedInvariant missed the cached invariant")
+	}
 	st := e.Stats()
 	if st.CacheMisses != 1 || st.CacheHits != 1 {
 		t.Errorf("stats: %d misses, %d hits; want 1, 1", st.CacheMisses, st.CacheHits)
@@ -68,8 +76,37 @@ func TestContentAddressing(t *testing.T) {
 	}
 }
 
-// TestSingleflightDedup parks waiters on a hand-installed in-flight call and
-// checks they receive its result instead of computing their own.
+// holdBuild starts a build of v under key that stays in flight until the
+// returned release is called; release returns once the build has finished.
+func holdBuild[V any](c *lru.Sharded[V], key string, v V) (release func()) {
+	started, unblock, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(finished)
+		c.GetOrBuild(key, func() (V, error) {
+			close(started)
+			<-unblock
+			return v, nil
+		})
+	}()
+	<-started
+	return func() { close(unblock); <-finished }
+}
+
+// waitUntil polls cond until it holds, failing the test after 10s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestSingleflightDedup parks an invariant fetch behind an in-flight build
+// of the same content and checks it receives that build's result, counted
+// as one dedup and no compute.
 func TestSingleflightDedup(t *testing.T) {
 	e := New()
 	inst := nested(t, 2)
@@ -77,19 +114,11 @@ func TestSingleflightDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	want, err := e.Invariant(nested(t, 2)) // warm a reference result
+	want, err := invariant.Compute(inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Reset to an empty engine state and install a fake in-flight call in
-	// the key's cache shard.
-	e = New()
-	c := &call{done: make(chan struct{})}
-	sh := e.shardFor(key)
-	sh.mu.Lock()
-	sh.inflight[key] = c
-	sh.mu.Unlock()
+	release := holdBuild(e.invariants, key, want)
 
 	got := make(chan error, 1)
 	go func() {
@@ -99,28 +128,28 @@ func TestSingleflightDedup(t *testing.T) {
 		}
 		got <- err
 	}()
-
+	waitUntil(t, "the fetch to join the in-flight build", func() bool { return e.Stats().CacheDedups == 1 })
 	select {
 	case <-got:
-		t.Fatal("waiter returned before the in-flight call completed")
+		t.Fatal("waiter returned before the in-flight build completed")
 	default:
 	}
-	c.inv = want
-	close(c.done)
+	release()
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.CacheDedups != 1 {
-		t.Errorf("dedups %d, want 1", st.CacheDedups)
+	if st := e.Stats(); st.CacheDedups != 1 || st.Computes != 0 {
+		t.Errorf("dedups %d, computes %d; want 1, 0", st.CacheDedups, st.Computes)
 	}
 }
 
 // TestLRUEviction pins capacity to one entry per shard and inserts two
-// instances whose content keys collide on a shard: the second insert must
-// evict the first, and only the first.
+// instances whose content keys collide on a shard (keys route by their
+// leading hex digit): the second insert must evict the first, and only the
+// first.
 func TestLRUEviction(t *testing.T) {
-	e := New(WithCacheCapacity(cacheShards)) // one entry per shard
-	byShard := make(map[*cacheShard][]*spatial.Instance)
+	e := New(WithCacheCapacity(lru.MaxShards)) // one entry per shard
+	byShard := make(map[byte][]*spatial.Instance)
 	var colliding []*spatial.Instance
 	for levels := 2; levels < 40 && colliding == nil; levels++ {
 		inst := nested(t, levels)
@@ -128,10 +157,9 @@ func TestLRUEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sh := e.shardFor(key)
-		byShard[sh] = append(byShard[sh], inst)
-		if len(byShard[sh]) == 2 {
-			colliding = byShard[sh]
+		byShard[key[0]] = append(byShard[key[0]], inst)
+		if len(byShard[key[0]]) == 2 {
+			colliding = byShard[key[0]]
 		}
 	}
 	if colliding == nil {
@@ -294,18 +322,9 @@ func TestConcurrentInvariant(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	// Capacity 2 with 16 shards means one entry per shard: the size can
-	// never exceed the number of distinct instances, and no shard may hold
-	// more than one entry.
-	if st := e.Stats(); st.CacheSize > len(instances) {
-		t.Errorf("cache exceeded its bound: size %d", st.CacheSize)
-	}
-	for i := range e.shards {
-		e.shards[i].mu.Lock()
-		if n := e.shards[i].lru.Len(); n > 1 {
-			t.Errorf("shard %d holds %d entries, capacity 1", i, n)
-		}
-		e.shards[i].mu.Unlock()
+	// The per-shard bound itself is internal/lru's TestShardBound.
+	if st := e.Stats(); st.CacheSize > st.CacheCapacity {
+		t.Errorf("cache exceeded its bound: size %d, capacity %d", st.CacheSize, st.CacheCapacity)
 	}
 }
 

@@ -73,8 +73,9 @@ func TestEvaluatorCacheEviction(t *testing.T) {
 	}
 }
 
-// TestEvaluatorSingleflight parks waiters on a hand-installed in-flight
-// build and checks they receive its result.
+// TestEvaluatorSingleflight parks a CompiledEvaluator call behind an
+// in-flight build of the same content and checks it receives that build's
+// result, counted as one dedup.
 func TestEvaluatorSingleflight(t *testing.T) {
 	e := New()
 	inst := nested(t, 2)
@@ -86,11 +87,7 @@ func TestEvaluatorSingleflight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &evalCall{done: make(chan struct{})}
-	sh := e.evalShardFor(key)
-	sh.mu.Lock()
-	sh.inflight[key] = c
-	sh.mu.Unlock()
+	release := holdBuild(e.evaluators, key, want)
 
 	got := make(chan error, 1)
 	go func() {
@@ -100,13 +97,13 @@ func TestEvaluatorSingleflight(t *testing.T) {
 		}
 		got <- err
 	}()
+	waitUntil(t, "the call to join the in-flight build", func() bool { return e.Stats().EvalDedups == 1 })
 	select {
 	case <-got:
 		t.Fatal("waiter returned before the in-flight build completed")
 	default:
 	}
-	c.ce = want
-	close(c.done)
+	release()
 	if err := <-got; err != nil {
 		t.Fatal(err)
 	}

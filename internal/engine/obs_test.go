@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -40,6 +42,46 @@ func TestDoRecordsSpanStages(t *testing.T) {
 	for _, c := range warm.Timings().Children {
 		if c.Stage == "eval" {
 			t.Error("answer-cache hit still recorded an eval stage")
+		}
+	}
+}
+
+// TestEnginesDoNotShareMetrics: each engine counts into its own registry,
+// so asks on one leave another's Stats and exposition at zero, and reading
+// Stats creates no labelled children in the exposition.
+func TestEnginesDoNotShareMetrics(t *testing.T) {
+	a, b := New(), New()
+	inst := nested(t, 2)
+	for _, s := range []core.Strategy{core.Direct, core.ViaInvariantFixpoint, core.Auto, core.Auto} {
+		if res := a.AskResult(inst, nonEmpty("P"), s); res.Err != nil {
+			t.Fatal(res.Err)
+		}
+	}
+	if st := a.Stats(); st.Computes != 1 || st.AutoQueries != 2 || len(st.Strategies) != 2 {
+		t.Fatalf("engine A did not count its asks: %+v", st)
+	}
+	if st, fresh := b.Stats(), New().Stats(); !reflect.DeepEqual(st, fresh) {
+		t.Errorf("engine B's Stats moved with A's traffic:\n got %+v\nwant %+v", st, fresh)
+	}
+	render := func(e *Engine) string {
+		var sb strings.Builder
+		if err := e.Metrics().WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	if text := render(a); !strings.Contains(text, "\ntopoinv_engine_invariant_cache_misses_total 1\n") {
+		t.Errorf("engine A's exposition lacks its invariant miss:\n%s", text)
+	}
+	for _, line := range strings.Split(render(b), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		if !strings.HasSuffix(line, " 0") {
+			t.Errorf("engine B sample moved with A's traffic: %s", line)
+		}
+		if strings.Contains(line, "{") && !strings.Contains(line, "{le=") {
+			t.Errorf("engine B exposition has a labelled child: %s", line)
 		}
 	}
 }

@@ -30,12 +30,11 @@ func (e *Engine) simInit() {
 	if err != nil {
 		// The index file is derived data: on any load failure fall back to
 		// reindexing from the store below.
-		e.simErrors.Add(1)
+		e.m.simErrors.Inc()
 	}
-	e.simLoaded.Store(uint64(n))
+	e.m.simLoaded.Add(uint64(n))
 	keys := e.store.Keys()
 	sort.Strings(keys)
-	var reindexed uint64
 	for _, key := range keys {
 		if e.sim.Has(key) {
 			continue
@@ -43,19 +42,18 @@ func (e *Engine) simInit() {
 		data, ok, err := e.store.Get(key)
 		if err != nil || !ok {
 			if err != nil {
-				e.simErrors.Add(1)
+				e.m.simErrors.Inc()
 			}
 			continue
 		}
 		inv, err := codec.DecodeInvariant(data)
 		if err != nil {
-			e.simErrors.Add(1)
+			e.m.simErrors.Inc()
 			continue
 		}
 		e.sim.Add(simindex.MakeEntry(key, inv))
-		reindexed++
+		e.m.simReindexed.Inc()
 	}
-	e.simReindexed.Store(reindexed)
 	e.sim.Rebuild()
 }
 
@@ -76,7 +74,7 @@ func (e *Engine) simSave() {
 		return
 	}
 	if err := e.sim.SaveFile(simindex.IndexFilePath(e.store.Dir())); err != nil {
-		e.simErrors.Add(1)
+		e.m.simErrors.Inc()
 	}
 }
 

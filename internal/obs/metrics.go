@@ -12,10 +12,10 @@
 // read lock; it never blocks writers.
 //
 // Layers register process-wide instruments against the Default registry at
-// package init (metric names are globally unique), the serve front-end
-// exposes Default at GET /metrics, and the loadgen client reuses the same
-// Histogram code for its latency percentiles — one bucket/percentile
-// implementation everywhere.
+// package init (metric names are globally unique); the engine keeps its own
+// registry per Engine so two engines in one process never mix their counts.
+// The serve front-end renders Default and then its engine's registry at
+// GET /metrics.
 package obs
 
 import (
@@ -82,8 +82,6 @@ type Histogram struct {
 
 // NewHistogram creates a standalone histogram (not attached to a registry)
 // with the given upper bounds; nil bounds default to DefLatencyBuckets.
-// Loadgen uses these directly so client-side percentiles come from exactly
-// the code that backs /metrics.
 func NewHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefLatencyBuckets
@@ -209,6 +207,26 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return vecChild(&v.children, v.labels, values, func() *Histogram { return NewHistogram(v.bounds) })
 }
 
+// Lookup returns the child counter for the given label values, or nil when
+// none was created.  Unlike With it never creates one, so reading a family
+// leaves its exposition unchanged.
+func (v *CounterVec) Lookup(values ...string) *Counter {
+	return vecLookup[*Counter](&v.children, values)
+}
+
+// Lookup returns the child histogram for the given label values, or nil
+// when none was created; see CounterVec.Lookup.
+func (v *HistogramVec) Lookup(values ...string) *Histogram {
+	return vecLookup[*Histogram](&v.children, values)
+}
+
+func vecLookup[T any](m *sync.Map, values []string) (child T) {
+	if c, ok := m.Load(strings.Join(values, labelSep)); ok {
+		child = c.(T)
+	}
+	return child
+}
+
 func vecChild[T any](m *sync.Map, labels, values []string, mk func() T) T {
 	if len(values) != len(labels) {
 		panic(fmt.Sprintf("obs: %d label values for %d labels %v", len(values), len(labels), labels))
@@ -260,8 +278,9 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// Default is the process-wide registry: the engine, store, sweep,
-// arrangement and HTTP layers register into it and GET /metrics renders it.
+// Default is the process-wide registry: the store, sweep, arrangement,
+// pointfo, simindex and HTTP layers register into it and GET /metrics
+// renders it.
 var Default = NewRegistry()
 
 func (r *Registry) register(name, help string, kind familyKind, labels []string, mk func() *family) *family {

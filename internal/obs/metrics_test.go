@@ -37,6 +37,13 @@ func TestCounterVecChildren(t *testing.T) {
 	if got := v.With("/v1/ask", "2xx").Value(); got != 3 {
 		t.Fatalf("child = %d, want 3", got)
 	}
+	// Lookup reads existing children and never creates one.
+	if c := v.Lookup("/v1/ask", "2xx"); c == nil || c.Value() != 3 {
+		t.Fatalf("Lookup of an existing child = %v", c)
+	}
+	if c := v.Lookup("/v1/ask", "5xx"); c != nil {
+		t.Fatalf("Lookup of a missing child = %v, want nil", c)
+	}
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
@@ -45,6 +52,9 @@ func TestCounterVecChildren(t *testing.T) {
 	want := `test_labeled_total{route="/v1/ask",class="2xx"} 3`
 	if !strings.Contains(out, want) {
 		t.Fatalf("render missing %q:\n%s", want, out)
+	}
+	if strings.Contains(out, `class="5xx"`) {
+		t.Fatalf("Lookup created a child:\n%s", out)
 	}
 }
 

@@ -2,17 +2,17 @@ package topoinv
 
 import (
 	"context"
-	"io"
 
 	"repro/internal/obs"
 )
 
 // Observability surface: the dependency-free metrics/tracing/logging toolkit
-// every layer of the library reports into (package obs).  The engine, store,
-// sweep and arrangement packages register their instruments on the shared
-// default registry at init; Metrics exposes that registry so front ends (the
-// HTTP server, the load generator) can add their own instruments and render
-// everything together.
+// every layer of the library reports into (package obs).  The store, sweep,
+// arrangement, pointfo and simindex packages register their instruments on
+// the shared default registry at init; Metrics exposes that registry so a
+// front end (the HTTP server) can add its own instruments.  Each Engine keeps
+// its instruments in a registry of its own (Engine.Metrics), which the
+// server renders after Metrics.
 type (
 	// Span is a process-local stage recorder with nested children.  The nil
 	// *Span is a fully functional no-op: instrumented paths pay one pointer
@@ -24,13 +24,10 @@ type (
 	// MetricsRegistry is a set of named instruments renderable as Prometheus
 	// text or a JSON snapshot.
 	MetricsRegistry = obs.Registry
-	// MetricsHistogram is a fixed-bucket latency/size histogram with
-	// lock-free observation and quantile estimation.
-	MetricsHistogram = obs.Histogram
 )
 
 // Metrics is the process-wide default registry, rendered at GET /metrics and
-// embedded in /v1/stats.
+// embedded in /v1/stats ahead of the engine's own registry.
 var Metrics = obs.Default
 
 var (
@@ -47,9 +44,6 @@ var (
 	WithRequestID = obs.WithRequestID
 	// RequestIDFrom extracts the request id from a context ("" if absent).
 	RequestIDFrom = obs.RequestID
-	// NewHistogram builds a standalone histogram (not registered anywhere) —
-	// the load generator aggregates client-side latencies with one.
-	NewHistogram = obs.NewHistogram
 )
 
 // Default histogram bucket layouts.
@@ -59,14 +53,6 @@ var (
 	// SizeBuckets spans 64B–64MB, the default for payload-size histograms.
 	SizeBuckets = obs.DefSizeBuckets
 )
-
-// WriteMetrics renders every instrument of the default registry in the
-// Prometheus text exposition format.
-func WriteMetrics(w io.Writer) error { return obs.Default.WritePrometheus(w) }
-
-// MetricsSnapshot returns the default registry as a JSON-friendly map
-// (histograms carry count, sum and p50/p90/p99).
-func MetricsSnapshot() map[string]any { return obs.Default.Snapshot() }
 
 // SpanFromContext returns the span attached to a context, or nil.
 func SpanFromContext(ctx context.Context) *Span { return obs.SpanFrom(ctx) }
