@@ -15,10 +15,14 @@
 //     all boundary segments at their mutual intersections and at isolated
 //     region points (ridden through the sweep as probe events), producing
 //     elementary sub-segments meeting only at endpoints and recording the
-//     sweep's status order at every event point (subdivide.go);
+//     sweep's status order at every event point and around every
+//     sub-segment (subdivide.go);
 //  2. face tracing — build the rotation system and trace face boundary
 //     cycles, assigning hole cycles and isolated vertices to their
-//     containing faces directly from the recorded sweep order (faces.go);
+//     containing faces directly from the recorded sweep order, and placing
+//     each bounded face's representative point halfway between one of its
+//     edges and the nearest segment the sweep saw on the face side
+//     (faces.go);
 //  3. classification — compute the sign class of every cell with respect to
 //     every region combinatorially, by propagating ring-crossing parities
 //     over the face dual graph (classify.go);
@@ -268,9 +272,10 @@ type config struct {
 }
 
 // WithNaivePairFinding selects the quadratic all-pairs reference pipeline —
-// exact bounding-box candidate search, post-hoc point-on-segment scans and
-// point-location classification — instead of the sweep.  It exists solely
-// for ablation benchmarks and differential testing against the sweep path.
+// exact bounding-box candidate search, post-hoc point-on-segment scans,
+// ray-shot face representatives and point-location classification — instead
+// of the sweep.  It exists solely for ablation benchmarks and differential
+// testing against the sweep path.
 func WithNaivePairFinding() Option {
 	return func(c *config) { c.naivePairs = true }
 }

@@ -171,17 +171,22 @@ func traceFaces(sub *subdivision) (*fullComplex, error) {
 		fc.cycles = append(fc.cycles, c)
 	}
 
-	// Compute a representative interior point for each cycle's face side.  On
-	// the sweep path, hole cycles are assigned from the sweep order, so only
-	// the positive cycles (which become face representatives) need the
-	// ray-shooting rep; the naive reference path needs one per cycle for the
-	// crossing-parity relocation.
+	// A point inside the face left of each cycle.  The sweep path needs one
+	// only per positive cycle (a bounded face) and reads it off the sweep's
+	// neighbour records; the naive path ray-shoots one per cycle for the
+	// crossing-parity relocation below.
 	sweepOrder := sub.below != nil
 	for _, c := range fc.cycles {
-		if sweepOrder && c.area2.Sign() <= 0 {
-			continue
+		switch {
+		case !sweepOrder:
+			c.rep, c.repOK = fc.cycleRep(c)
+		case c.area2.Sign() > 0:
+			rep, err := fc.sweepRep(c)
+			if err != nil {
+				return nil, err
+			}
+			c.rep, c.repOK = rep, true
 		}
-		c.rep, c.repOK = fc.cycleRep(c)
 	}
 
 	// Faces: one per positive-area cycle, plus the exterior face.
@@ -378,6 +383,39 @@ func (fc *fullComplex) assignBySweepOrder() {
 	}
 }
 
+// sweepRep returns a point strictly inside the bounded face left of a
+// positive cycle.  It takes a non-vertical half-edge of the cycle and the
+// sweep's neighbour record for the edge's sub-segment: on the record's open
+// x-interval no vertex or vertical segment lies, so at its mid-x the open
+// vertical gap between the edge and its nearest neighbour on the face side
+// (above for a left-to-right half-edge, below otherwise) lies inside the
+// face.  The neighbour exists because the face is bounded.
+func (fc *fullComplex) sweepRep(c *cycleInfo) (geom.Point, error) {
+	sub := fc.sub
+	for _, h := range c.halfEdges {
+		s := sub.segments[segOf(h)]
+		if sub.points[s.a].X.Equal(sub.points[s.b].X) {
+			continue
+		}
+		src := sub.subSrc[segOf(h)]
+		recs := sub.neighbours[src.seg]
+		if src.k >= len(recs) || !recs[src.k].X0.Equal(sub.points[s.a].X) {
+			return geom.Point{}, fmt.Errorf("arrangement: no sweep neighbour record at %v", sub.points[s.a])
+		}
+		r := recs[src.k]
+		nb := r.Above
+		if h%2 == 1 {
+			nb = r.Below
+		}
+		if nb < 0 {
+			return geom.Point{}, fmt.Errorf("arrangement: bounded face beside %v has no sweep neighbour", sub.points[s.a])
+		}
+		x := rat.Mid(r.X0, r.X1)
+		return geom.PtR(x, rat.Mid(sub.inputSegs[src.seg].YAt(x), sub.inputSegs[nb].YAt(x))), nil
+	}
+	return geom.Point{}, fmt.Errorf("arrangement: positive cycle %d has no non-vertical edge", c.id)
+}
+
 // resolveBelow returns the face containing the isolated vertex at p.  It
 // must run after assignBySweepOrder, which resolves every cycle's face.
 func (fc *fullComplex) resolveBelow(p geom.Point) int {
@@ -402,7 +440,8 @@ func (fc *fullComplex) cycleArea2(c *cycleInfo) rat.R {
 
 // cycleRep returns a point strictly inside the face bounded by the cycle
 // (the face to the left of its half-edges).  ok is false only when the
-// subdivision has no segments at all.
+// subdivision has no segments at all.  It shoots a ray against every
+// sub-segment and vertex, so only the naive reference path uses it.
 func (fc *fullComplex) cycleRep(c *cycleInfo) (geom.Point, bool) {
 	if len(c.halfEdges) == 0 {
 		return geom.Point{}, false

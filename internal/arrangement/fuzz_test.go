@@ -240,6 +240,18 @@ func FuzzSweepSubdivisionVsNaive(f *testing.F) {
 			region.LineFeature(geom.MustPolyline(geom.Pt(4, 3), geom.Pt(10, 3))),
 			region.AreaFeature(geom.Rect(0, 0, 6, 3)),
 		},
+		{ // '#' grid: the inner face's edges start where a vertical crosses
+			// them, which is no sweep event
+			region.LineFeature(geom.MustPolyline(geom.Pt(0, 3), geom.Pt(9, 3))),
+			region.LineFeature(geom.MustPolyline(geom.Pt(0, 6), geom.Pt(9, 6))),
+			region.LineFeature(geom.MustPolyline(geom.Pt(3, 0), geom.Pt(3, 9))),
+			region.LineFeature(geom.MustPolyline(geom.Pt(6, 0), geom.Pt(6, 9))),
+		},
+		{ // a line along a rectangle's top edge: a collinear overlap
+			// bounding a face
+			region.AreaFeature(geom.Rect(0, 0, 6, 4)),
+			region.LineFeature(geom.MustPolyline(geom.Pt(-2, 4), geom.Pt(9, 4))),
+		},
 	}
 	for _, feats := range hand {
 		var seed []byte
@@ -277,7 +289,44 @@ func FuzzSweepSubdivisionVsNaive(f *testing.F) {
 				t.Fatalf("sweep vs naive complex mismatch: %s", d)
 			}
 		}
+		checkFaceReps(t, "sweep", inst, a)
+		checkFaceReps(t, "naive", inst, b)
 	})
+}
+
+// checkFaceReps is the face-representative oracle: every face's Rep lies on
+// no edge chain and no vertex, and locating it in every region gives exactly
+// the face's combinatorial sign — never the region's boundary, Interior iff
+// the region's interior contains it.
+func checkFaceReps(t *testing.T, which string, inst *spatial.Instance, cx *Complex) {
+	t.Helper()
+	for _, f := range cx.Faces {
+		for _, v := range cx.Vertices {
+			if v.Point.Equal(f.Rep) {
+				t.Fatalf("%s: face %d rep %v is vertex %d", which, f.ID, f.Rep, v.ID)
+			}
+		}
+		for _, e := range cx.Edges {
+			for i := 0; i+1 < len(e.Chain); i++ {
+				if geom.Seg(e.Chain[i], e.Chain[i+1]).ContainsPoint(f.Rep) {
+					t.Fatalf("%s: face %d rep %v lies on edge %d", which, f.ID, f.Rep, e.ID)
+				}
+			}
+		}
+		for _, name := range inst.Schema().Names() {
+			r := inst.Region(name)
+			want := Exterior
+			switch {
+			case r.OnBoundary(f.Rep):
+				t.Fatalf("%s: face %d rep %v on the boundary of %s", which, f.ID, f.Rep, name)
+			case r.ContainsInterior(f.Rep):
+				want = Interior
+			}
+			if got := f.Sign[name]; got != want {
+				t.Fatalf("%s: face %d rep %v: sign in %s is %v, location says %v", which, f.ID, f.Rep, name, got, want)
+			}
+		}
+	}
 }
 
 // fuzzWorkloadInstances returns all five workload generators' instances.

@@ -55,6 +55,9 @@ func (src *srcTables) addRing(ri int, pg geom.Polygon, segSet map[string]geom.Se
 	return id
 }
 
+// splitRef names split point k (in sorted order) of input segment seg.
+type splitRef struct{ seg, k int }
+
 // subdivision is the output of the splitting phase.
 type subdivision struct {
 	points   []geom.Point   // vertex coordinates, indexed by vertex ID
@@ -71,10 +74,12 @@ type subdivision struct {
 
 	// Sweep-order data; nil on the naive differential-reference path, which
 	// signals faces.go and classify.go to use the point-location machinery.
-	below       map[string]int // event point key -> input segment below, or -1
-	inputSegs   []geom.Segment // deduplicated canonical input segments
-	inputSplits [][]geom.Point // sorted unique split points per input segment
-	segIndex    map[[2]int]int // ID-sorted vertex pair -> sub-segment index
+	below       map[string]int      // event point key -> input segment below, or -1
+	neighbours  [][]sweep.Neighbour // per input segment: status neighbours per split point
+	inputSegs   []geom.Segment      // deduplicated canonical input segments
+	inputSplits [][]geom.Point      // sorted unique split points per input segment
+	segIndex    map[[2]int]int      // ID-sorted vertex pair -> sub-segment index
+	subSrc      []splitRef          // per sub-segment: its left end, as a split point of an input segment covering it
 
 	inputSegments   int
 	candidatePairs  int
@@ -99,7 +104,8 @@ func (s *subdivision) vertexID(p geom.Point) int {
 // The default path runs one exact Bentley–Ottmann sweep (sweep.Subdivide):
 // split points come straight from the sweep's intersection events, isolated
 // points ride the same sweep as probe events, and the sweep's status order
-// (the segment strictly below every event point) is kept for face tracing.
+// (the segment strictly below every event point, and the segments strictly
+// above and below every sub-segment) is kept for face tracing.
 // With naivePairs set, the quadratic all-pairs reference is used instead —
 // retained only for differential testing against the sweep path.
 func subdivide(inst *spatial.Instance, naivePairs bool) *subdivision {
@@ -195,6 +201,7 @@ func subdivide(inst *spatial.Instance, naivePairs bool) *subdivision {
 			splitPts[i] = append(splitPts[i], sd.Splits[i]...)
 		}
 		sub.below = sd.Below
+		sub.neighbours = sd.Neighbours
 		sub.candidatePairs = sd.Pairs
 		sub.intersectionOps = sd.Pairs
 	}
@@ -221,6 +228,7 @@ func subdivide(inst *spatial.Instance, naivePairs bool) *subdivision {
 				si = len(sub.segments)
 				sub.segIndex[key] = si
 				sub.segments = append(sub.segments, subSeg{a, b})
+				sub.subSrc = append(sub.subSrc, splitRef{i, k})
 				sub.subRings = append(sub.subRings, nil)
 				sub.subLines = append(sub.subLines, nil)
 			}

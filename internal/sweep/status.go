@@ -84,6 +84,7 @@ func (sw *sweeper) rotateUp(n *node) {
 // its node.
 func (sw *sweeper) insertSeg(s int) *node {
 	nd := &node{seg: s, pri: sw.rand(), size: 1}
+	sw.nodeOf[s] = nd
 	if sw.root == nil {
 		sw.root = nd
 		return nd
@@ -144,6 +145,7 @@ func (sw *sweeper) removeNode(nd *node) {
 		a.size--
 	}
 	nd.l, nd.r, nd.p = nil, nil, nil
+	sw.nodeOf[nd.seg] = nil
 }
 
 func pred(n *node) *node {

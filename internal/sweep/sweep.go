@@ -128,6 +128,15 @@ type sweeper struct {
 	probe   map[string]bool
 	onProbe func(p geom.Point, segs []int)
 
+	// nbrOut, when non-nil, receives the neighbour records of the
+	// subdivision client (Subdivision.Neighbours).  colPending lists the
+	// segments with a split point in the current column that is not their
+	// right end (a segment may be listed twice).  nodeOf[s] is s's status
+	// node, or nil while s is not in the status.
+	nbrOut     [][]Neighbour
+	colPending []int
+	nodeOf     []*node
+
 	// eventsProcessed / pairsReported feed the process-wide sweep metrics
 	// once per run (plain fields here: a sweep is single-goroutine).
 	eventsProcessed uint64
@@ -143,6 +152,7 @@ func newSweeper(segs []geom.Segment, visit func(Pair) bool) *sweeper {
 		queued:   map[string]bool{},
 		reported: map[uint64]bool{},
 		queries:  map[string][]*int{},
+		nodeOf:   make([]*node, len(segs)),
 		rngState: 0x9E3779B97F4A7C15, // fixed seed: deterministic treap shape
 	}
 	pts := make([]geom.Point, 0, 2*len(segs))
@@ -203,6 +213,13 @@ func (sw *sweeper) run() {
 		sw.eventsProcessed++
 		sw.x = p.X
 		key := p.Key()
+		if !sw.curXSet || !sw.curX.Equal(p.X) {
+			if sw.curXSet {
+				sw.leaveColumn(p.X)
+			}
+			sw.curXSet, sw.curX = true, p.X
+			sw.actVert = sw.actVert[:0]
+		}
 
 		// Rank queries fire before the event mutates anything at p, so the
 		// count reflects exactly the segments whose half-open x-interval
@@ -219,11 +236,6 @@ func (sw *sweeper) run() {
 		// line passes strictly below the point.
 		if sw.belowOut != nil {
 			sw.belowOut[key] = sw.predBelow(p)
-		}
-
-		if !sw.curXSet || !sw.curX.Equal(p.X) {
-			sw.curXSet, sw.curX = true, p.X
-			sw.actVert = sw.actVert[:0]
 		}
 
 		// Vertical segments starting (low endpoint) at p: check them against
@@ -306,6 +318,9 @@ func (sw *sweeper) run() {
 			}
 			return ins[i] < ins[j]
 		})
+		for _, s := range ins {
+			sw.queueNeighbours(s) // p splits s and is not its right end
+		}
 		if len(ins) == 0 {
 			sw.checkNeighbors(below, above, p)
 		} else {
@@ -405,6 +420,11 @@ func (sw *sweeper) verticalChecks(v int) {
 	for nd := sw.lowerBound(lo); nd != nil; nd = succ(nd) {
 		if geom.CmpPointSeg(hi, sw.segs[nd.seg]) < 0 {
 			break // status line strictly above the span
+		}
+		if !sw.segs[nd.seg].B.X.Equal(lo.X) {
+			// The crossing splits nd.seg at a point that may be no event
+			// (inside the spans of both), and it is not nd.seg's right end.
+			sw.queueNeighbours(nd.seg)
 		}
 		sw.report(v, nd.seg)
 		if sw.stopped {
