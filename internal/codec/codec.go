@@ -344,13 +344,13 @@ func (w *writer) intSlice(xs []int) {
 }
 
 func (w *writer) rational(x rat.R) {
-	num, den := x.Num(), x.Den()
-	if num.IsInt64() && den.IsInt64() {
+	if num, den, ok := x.Int64s(); ok {
 		w.buf = append(w.buf, ratFast)
-		w.varint(num.Int64())
-		w.uvarint(uint64(den.Int64()))
+		w.varint(num)
+		w.uvarint(uint64(den))
 		return
 	}
+	num, den := x.Num(), x.Den()
 	w.buf = append(w.buf, ratBig)
 	switch num.Sign() {
 	case -1:

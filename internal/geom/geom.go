@@ -67,10 +67,8 @@ func Mid(p, q Point) Point { return Point{rat.Mid(p.X, q.X), rat.Mid(p.Y, q.Y)} 
 // +1 if a,b,c make a left (counterclockwise) turn, -1 for a right turn and 0
 // if the three points are collinear.
 func Orientation(a, b, c Point) int {
-	// (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
-	lhs := b.X.Sub(a.X).Mul(c.Y.Sub(a.Y))
-	rhs := b.Y.Sub(a.Y).Mul(c.X.Sub(a.X))
-	return lhs.Sub(rhs).Sign()
+	// sign of (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
+	return rat.CmpMul(b.X.Sub(a.X), c.Y.Sub(a.Y), b.Y.Sub(a.Y), c.X.Sub(a.X))
 }
 
 // Collinear reports whether a, b and c lie on a common line.
@@ -128,33 +126,45 @@ func (s Segment) YAt(x rat.R) rat.R {
 }
 
 // CmpYAt compares the y coordinates of the supporting lines of s and t at x,
-// returning -1, 0 or +1.  Both segments must be non-vertical.  The comparison
-// cross-multiplies instead of dividing, so no intermediate normalisation is
-// paid per probe.
+// returning -1, 0 or +1.  Both segments must be non-vertical.  When x is an
+// endpoint x of either segment (the usual case in a sweep, whose columns are
+// event points) that endpoint's y is the segment's y there, and the answer
+// is one orientation test of the endpoint against the other segment
+// (CmpPointSeg).  At any other x the comparison cross-multiplies instead of
+// dividing, so no intermediate normalisation is paid per probe.
 func CmpYAt(s, t Segment, x rat.R) int {
-	// y_s(x) = (ay·dx + (x-ax)·dy) / dx with dx > 0 after canonicalisation.
 	s, t = s.Canonical(), t.Canonical()
-	sdx := s.B.X.Sub(s.A.X)
-	tdx := t.B.X.Sub(t.A.X)
-	if sdx.Sign() == 0 || tdx.Sign() == 0 {
+	if s.IsVertical() || t.IsVertical() {
 		panic("geom: CmpYAt of a vertical segment")
 	}
+	switch {
+	case x.Equal(s.A.X):
+		return CmpPointSeg(s.A, t)
+	case x.Equal(s.B.X):
+		return CmpPointSeg(s.B, t)
+	case x.Equal(t.A.X):
+		return -CmpPointSeg(t.A, s)
+	case x.Equal(t.B.X):
+		return -CmpPointSeg(t.B, s)
+	}
+	// y_s(x) = (ay·dx + (x-ax)·dy) / dx with dx > 0 after canonicalisation.
+	sdx := s.B.X.Sub(s.A.X)
+	tdx := t.B.X.Sub(t.A.X)
 	sn := s.A.Y.Mul(sdx).Add(x.Sub(s.A.X).Mul(s.B.Y.Sub(s.A.Y)))
 	tn := t.A.Y.Mul(tdx).Add(x.Sub(t.A.X).Mul(t.B.Y.Sub(t.A.Y)))
-	return sn.Mul(tdx).Cmp(tn.Mul(sdx))
+	return rat.CmpMul(sn, tdx, tn, sdx)
 }
 
 // CmpPointSeg compares p.Y with the y coordinate of the supporting line of s
 // at p.X, returning -1 when p is below the line, 0 on it and +1 above.  The
-// segment must be non-vertical.
+// segment must be non-vertical.  It is the orientation of p against the
+// canonical (left-to-right) segment.
 func CmpPointSeg(p Point, s Segment) int {
 	s = s.Canonical()
-	dx := s.B.X.Sub(s.A.X)
-	if dx.Sign() == 0 {
+	if s.IsVertical() {
 		panic("geom: CmpPointSeg of a vertical segment")
 	}
-	n := s.A.Y.Mul(dx).Add(p.X.Sub(s.A.X).Mul(s.B.Y.Sub(s.A.Y)))
-	return p.Y.Mul(dx).Cmp(n)
+	return Orientation(s.A, s.B, p)
 }
 
 // CmpSlope compares the slopes of two non-vertical segments.
@@ -165,7 +175,7 @@ func CmpSlope(s, t Segment) int {
 	if sdx.Sign() == 0 || tdx.Sign() == 0 {
 		panic("geom: CmpSlope of a vertical segment")
 	}
-	return s.B.Y.Sub(s.A.Y).Mul(tdx).Cmp(t.B.Y.Sub(t.A.Y).Mul(sdx))
+	return rat.CmpMul(s.B.Y.Sub(s.A.Y), tdx, t.B.Y.Sub(t.A.Y), sdx)
 }
 
 // Box returns the bounding box of the segment.

@@ -8,16 +8,24 @@
 // must therefore be exact: a single mis-classified sign flips the topology of
 // the resulting invariant.
 //
-// R is a rational number with an int64 numerator/denominator fast path and a
-// transparent fallback to math/big when an intermediate product would
-// overflow.  Values are always kept in canonical form: the denominator is
-// positive and gcd(|num|, den) == 1; zero is 0/1.
+// R is a rational number held as an int64 numerator/denominator pair, with a
+// transparent fallback to math/big for values that do not fit.  While the
+// operands are int64 pairs, Cmp, Sign and CmpMul never leave machine words:
+// they compare 128-bit (Cmp) and 256-bit (CmpMul) products built with
+// math/bits, so they never allocate and never fall back.  Add and Sub divide
+// out gcd(den₁, den₂) before multiplying (Knuth, TAOCP §4.5.1), so two values
+// on one decimal grid add without widening.  Add, Sub, Mul, Neg and Inv use
+// math/big only when an intermediate product or the result overflows int64;
+// a result that fits is demoted back to the pair, so a value that fits in
+// int64 is always held as one.  Values are always kept in canonical form:
+// the denominator is positive and gcd(|num|, den) == 1; zero is 0/1.
 package rat
 
 import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -62,8 +70,7 @@ func New(num, den int64) R {
 		}
 		num, den = -num, -den
 	}
-	g := gcd64(abs64(num), den)
-	if g > 1 {
+	if g := gcd(num, den); g > 1 {
 		num /= g
 		den /= g
 	}
@@ -173,22 +180,49 @@ func (r R) Num() *big.Int { return new(big.Int).Set(r.toBig().Num()) }
 // Den returns the denominator as a *big.Int (always freshly allocated).
 func (r R) Den() *big.Int { return new(big.Int).Set(r.toBig().Denom()) }
 
+// Int64s returns the canonical numerator and denominator of r, with ok true,
+// when both fit in int64, and ok false otherwise.  Unlike Num and Den it
+// does not allocate.
+func (r R) Int64s() (num, den int64, ok bool) {
+	r = r.normalised()
+	if r.isFast() {
+		return r.num, r.den, true
+	}
+	return 0, 0, false
+}
+
 // Add returns r + s.
 func (r R) Add(s R) R {
 	r, s = r.normalised(), s.normalised()
 	if r.isFast() && s.isFast() {
-		// r.num/r.den + s.num/s.den = (r.num*s.den + s.num*r.den) / (r.den*s.den)
-		n1, ok1 := mul64(r.num, s.den)
-		n2, ok2 := mul64(s.num, r.den)
-		d, ok3 := mul64(r.den, s.den)
-		if ok1 && ok2 && ok3 {
-			n, ok4 := add64(n1, n2)
-			if ok4 {
-				return New(n, d)
-			}
+		if sum, ok := addFast(r, s); ok {
+			return sum
 		}
 	}
 	return fromBig(new(big.Rat).Add(r.toBig(), s.toBig()))
+}
+
+// addFast adds two canonical int64 pairs by Knuth's method (TAOCP §4.5.1):
+// with d₁ = gcd(r.den, s.den) and t = r.num·(s.den/d₁) + s.num·(r.den/d₁),
+// the sum is (t/d₂) / ((r.den/d₁)·(s.den/d₂)) for d₂ = gcd(t, d₁), already in
+// lowest terms.  ok is false when an intermediate overflows int64.
+func addFast(r, s R) (R, bool) {
+	d1 := gcd(r.den, s.den)
+	n1, ok1 := mul64(r.num, s.den/d1)
+	n2, ok2 := mul64(s.num, r.den/d1)
+	if !ok1 || !ok2 {
+		return R{}, false
+	}
+	t, ok := add64(n1, n2)
+	if !ok {
+		return R{}, false
+	}
+	d2 := gcd(t, d1)
+	den, ok := mul64(r.den/d1, s.den/d2)
+	if !ok {
+		return R{}, false
+	}
+	return R{num: t / d2, den: den}, true
 }
 
 // Sub returns r - s.
@@ -211,8 +245,8 @@ func (r R) Mul(s R) R {
 	r, s = r.normalised(), s.normalised()
 	if r.isFast() && s.isFast() {
 		// Cross-reduce first to keep intermediates small.
-		g1 := gcd64(abs64(r.num), s.den)
-		g2 := gcd64(abs64(s.num), r.den)
+		g1 := gcd(r.num, s.den)
+		g2 := gcd(s.num, r.den)
 		rn, sd := r.num/g1, s.den/g1
 		sn, rd := s.num/g2, r.den/g2
 		n, ok1 := mul64(rn, sn)
@@ -262,14 +296,7 @@ func (r R) Abs() R {
 func (r R) Sign() int {
 	r = r.normalised()
 	if r.isFast() {
-		switch {
-		case r.num > 0:
-			return 1
-		case r.num < 0:
-			return -1
-		default:
-			return 0
-		}
+		return sign64(r.num)
 	}
 	return r.big.Sign()
 }
@@ -278,21 +305,35 @@ func (r R) Sign() int {
 func (r R) Cmp(s R) int {
 	r, s = r.normalised(), s.normalised()
 	if r.isFast() && s.isFast() {
-		// Compare r.num*s.den vs s.num*r.den, exactly.
-		a, ok1 := mul64(r.num, s.den)
-		b, ok2 := mul64(s.num, r.den)
-		if ok1 && ok2 {
-			switch {
-			case a < b:
-				return -1
-			case a > b:
-				return 1
-			default:
-				return 0
-			}
+		// r − s has the sign of r.num·s.den − s.num·r.den: compare the
+		// signs, then the 128-bit magnitudes of the two products.
+		sr, ss := sign64(r.num), sign64(s.num)
+		if sr != ss || sr == 0 {
+			return sign64(int64(sr - ss))
 		}
+		x := mul128(mag(r.num), uint64(s.den))
+		y := mul128(mag(s.num), uint64(r.den))
+		return sr * cmpWords(x[:], y[:])
 	}
 	return r.toBig().Cmp(s.toBig())
+}
+
+// CmpMul returns the sign of a·b − c·d, that is a.Mul(b).Cmp(c.Mul(d)),
+// without forming either product.  While all four operands are int64 pairs
+// it compares an·bn·cd·dd with cn·dn·ad·bd (every denominator is positive)
+// by sign and then as 256-bit magnitudes, so it never allocates.
+func CmpMul(a, b, c, d R) int {
+	a, b, c, d = a.normalised(), b.normalised(), c.normalised(), d.normalised()
+	if a.isFast() && b.isFast() && c.isFast() && d.isFast() {
+		sl, sr := sign64(a.num)*sign64(b.num), sign64(c.num)*sign64(d.num)
+		if sl != sr || sl == 0 {
+			return sign64(int64(sl - sr))
+		}
+		x := mul256(mul128(mag(a.num), mag(b.num)), mul128(uint64(c.den), uint64(d.den)))
+		y := mul256(mul128(mag(c.num), mag(d.num)), mul128(uint64(a.den), uint64(b.den)))
+		return sl * cmpWords(x[:], y[:])
+	}
+	return a.Mul(b).Cmp(c.Mul(d))
 }
 
 // Equal reports whether r == s.
@@ -359,42 +400,85 @@ func (r R) Key() string { return r.String() }
 
 // --- small integer helpers -------------------------------------------------
 
-func abs64(a int64) int64 {
-	if a < 0 {
-		if a == math.MinInt64 {
-			return math.MinInt64 // caller handles via big fallback
-		}
-		return -a
-	}
-	return a
-}
-
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	if a == 0 {
+// sign64 returns -1, 0 or +1 according to the sign of a.
+func sign64(a int64) int {
+	switch {
+	case a > 0:
 		return 1
+	case a < 0:
+		return -1
+	default:
+		return 0
 	}
-	return a
 }
 
-// mul64 multiplies with overflow detection.
-func mul64(a, b int64) (int64, bool) {
-	if a == 0 || b == 0 {
-		return 0, true
+// mag returns |a| as a uint64; unlike -a it is exact for math.MinInt64.
+func mag(a int64) uint64 {
+	if a < 0 {
+		return -uint64(a)
 	}
-	c := a * b
-	if c/b != a || (a == math.MinInt64 && b == -1) || (b == math.MinInt64 && a == -1) {
+	return uint64(a)
+}
+
+// gcd returns gcd(|a|, b) for b > 0.  It works on uint64 magnitudes, so a may
+// be math.MinInt64, and the result fits in int64 because it divides b.
+func gcd(a, b int64) int64 {
+	x, y := mag(a), uint64(b)
+	for y != 0 {
+		x, y = y, x%y
+	}
+	return int64(x)
+}
+
+// mul128 returns the 128-bit product x·y, most significant word first.
+func mul128(x, y uint64) [2]uint64 {
+	hi, lo := bits.Mul64(x, y)
+	return [2]uint64{hi, lo}
+}
+
+// mul256 returns the 256-bit product x·y of two 128-bit values, most
+// significant word first.
+func mul256(x, y [2]uint64) [4]uint64 {
+	h0, w0 := bits.Mul64(x[1], y[1])
+	h1, l1 := bits.Mul64(x[1], y[0])
+	h2, l2 := bits.Mul64(x[0], y[1])
+	h3, l3 := bits.Mul64(x[0], y[0])
+	w1, c1 := bits.Add64(h0, l1, 0)
+	w1, c2 := bits.Add64(w1, l2, 0)
+	w2, c3 := bits.Add64(h1, h2, c1)
+	w2, c4 := bits.Add64(w2, l3, c2)
+	return [4]uint64{h3 + c3 + c4, w2, w1, w0}
+}
+
+// cmpWords compares two unsigned integers of equal word length, most
+// significant word first.
+func cmpWords(x, y []uint64) int {
+	for i := range x {
+		if x[i] != y[i] {
+			if x[i] < y[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// mul64 multiplies with overflow detection.  It forms the 128-bit product of
+// the magnitudes, which is cheaper than checking a wrapped product by
+// division.
+func mul64(a, b int64) (int64, bool) {
+	hi, lo := bits.Mul64(mag(a), mag(b))
+	if (a < 0) != (b < 0) {
+		if hi != 0 || lo > 1<<63 {
+			return 0, false
+		}
+		return -int64(lo), true
+	}
+	if hi != 0 || lo > math.MaxInt64 {
 		return 0, false
 	}
-	return c, true
+	return int64(lo), true
 }
 
 // add64 adds with overflow detection.

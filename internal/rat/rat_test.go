@@ -1,6 +1,7 @@
 package rat
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"testing"
@@ -180,6 +181,17 @@ func TestMinInt64EdgeCases(t *testing.T) {
 	if r.Sign() >= 0 {
 		t.Errorf("5/MinInt64 should be negative, got %v", r)
 	}
+	// Negating MinInt64 in int64 overflows: a gcd taken that way comes out
+	// negative, and Mul's cross-reduction by it flips the product's sign.
+	if got := m.Mul(New(1, 7)); got.String() != "-9223372036854775808/7" {
+		t.Errorf("MinInt64 * 1/7 = %v, want -9223372036854775808/7", got)
+	}
+	// New must reduce a MinInt64 numerator: Key is the canonical form that
+	// point maps rely on, so equal values must share it.
+	got, want := New(math.MinInt64, 6), New(-1<<62, 3)
+	if !got.Equal(want) || got.Key() != want.Key() {
+		t.Errorf("New(MinInt64, 6) = %v (key %q), want %v (key %q)", got, got.Key(), want, want.Key())
+	}
 }
 
 func TestParse(t *testing.T) {
@@ -358,6 +370,74 @@ func TestPropStringRoundTrips(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzRatVsBig checks Add, Sub, Mul, Cmp and CmpMul against math/big on
+// four arbitrary int64 pairs, so it reaches the 64-bit edges the property
+// tests above never draw: MinInt64, products near 2⁶³ where the 128- and
+// 256-bit compares take over, and the 10⁻⁷ grid GeoJSON import snaps to.
+// Every result must also be canonical, which is what Key relies on.
+func FuzzRatVsBig(f *testing.F) {
+	const grid = 10_000_000
+	for _, s := range [][8]int64{
+		{math.MinInt64, 1, 1, 7, math.MinInt64, 6, -1 << 62, 3},
+		{math.MaxInt64, 1, math.MinInt64, math.MaxInt64, math.MaxInt64, math.MaxInt64 - 1, math.MinInt64, -1},
+		{23_456_789_012, grid, -17_999_999_999, grid, 12_345_678_901, grid, 98_765_432_109, grid},
+		{1_800_000_000, grid, -900_000_001, grid, 7, grid, -5, 2 * grid},
+		{3_037_000_499, 1, 3_037_000_500, 1, 1<<62 + 1, 3, 1<<62 - 1, 5},
+		{1 << 32, 1<<31 - 1, -(1 << 32), 1<<31 + 1, 1 << 31, 1<<32 + 3, 1<<31 + 7, 1 << 32},
+		{0, -5, 5, math.MinInt64, -3, math.MinInt64 + 1, math.MaxInt64, 2},
+	} {
+		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
+	}
+	f.Fuzz(func(t *testing.T, an, ad, bn, bd, cn, cd, dn, dd int64) {
+		var vals [4]R
+		var bigs [4]*big.Rat
+		for i, p := range [4][2]int64{{an, ad}, {bn, bd}, {cn, cd}, {dn, dd}} {
+			if p[1] == 0 {
+				p[1] = 1
+			}
+			vals[i] = New(p[0], p[1])
+			bigs[i] = new(big.Rat).SetFrac(big.NewInt(p[0]), big.NewInt(p[1]))
+			checkVsBig(t, fmt.Sprintf("New(%d, %d)", p[0], p[1]), vals[i], bigs[i])
+		}
+		for i, x := range vals {
+			for j, y := range vals {
+				bx, by := bigs[i], bigs[j]
+				checkVsBig(t, fmt.Sprintf("%v + %v", x, y), x.Add(y), new(big.Rat).Add(bx, by))
+				checkVsBig(t, fmt.Sprintf("%v - %v", x, y), x.Sub(y), new(big.Rat).Sub(bx, by))
+				checkVsBig(t, fmt.Sprintf("%v * %v", x, y), x.Mul(y), new(big.Rat).Mul(bx, by))
+				if got, want := x.Cmp(y), bx.Cmp(by); got != want {
+					t.Fatalf("Cmp(%v, %v) = %d, want %d", x, y, got, want)
+				}
+			}
+		}
+		for _, q := range [][4]int{{0, 1, 2, 3}, {0, 2, 1, 3}, {3, 1, 0, 2}, {0, 1, 1, 0}} {
+			a, b, c, d := vals[q[0]], vals[q[1]], vals[q[2]], vals[q[3]]
+			lhs := new(big.Rat).Mul(bigs[q[0]], bigs[q[1]])
+			rhs := new(big.Rat).Mul(bigs[q[2]], bigs[q[3]])
+			if got, want := CmpMul(a, b, c, d), lhs.Cmp(rhs); got != want {
+				t.Fatalf("CmpMul(%v, %v, %v, %v) = %d, want %d", a, b, c, d, got, want)
+			}
+		}
+	})
+}
+
+// checkVsBig fails unless got equals want in canonical form, and unless
+// Int64s reports exactly the values whose numerator and denominator fit in
+// int64.
+func checkVsBig(t *testing.T, what string, got R, want *big.Rat) {
+	t.Helper()
+	if got.String() != want.RatString() {
+		t.Fatalf("%s = %s, want %s", what, got, want.RatString())
+	}
+	num, den, ok := got.Int64s()
+	if fits := want.Num().IsInt64() && want.Denom().IsInt64(); ok != fits {
+		t.Fatalf("%s = %s: Int64s ok = %v, want %v", what, got, ok, fits)
+	}
+	if ok && (num != want.Num().Int64() || den != want.Denom().Int64()) {
+		t.Fatalf("%s: Int64s = %d/%d, want %s", what, num, den, want.RatString())
 	}
 }
 
