@@ -1,5 +1,6 @@
-// Package repro_test holds the benchmark harness: one benchmark per table /
-// figure / design-choice ablation listed in DESIGN.md and EXPERIMENTS.md.
+// Package repro_test holds the benchmark harness: one benchmark per paper
+// experiment that cmd/experiments regenerates (its package doc lists them),
+// plus the engine, codec, evaluator and similarity-index benchmarks.
 // Each compression benchmark reports the paper's headline metric
 // (raw-bytes / invariant-bytes) via b.ReportMetric in addition to timing the
 // invariant construction.
@@ -10,7 +11,6 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/arrangement"
 	"repro/internal/invariant"
 	"repro/internal/logic"
 	"repro/internal/pointfo"
@@ -327,30 +327,6 @@ func BenchmarkCodec(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := topoinv.DecodeInvariant(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationIntersection compares the default sweep-built arrangement
-// against the quadratic all-pairs point-location reference (design-choice
-// ablations of DESIGN.md).
-func BenchmarkAblationIntersection(b *testing.B) {
-	inst, err := topoinv.LandUse(topoinv.DefaultLandUse(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("sweep", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := arrangement.Build(inst); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("naive-pairs", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := arrangement.Build(inst, arrangement.WithNaivePairFinding()); err != nil {
 				b.Fatal(err)
 			}
 		}

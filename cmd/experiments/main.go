@@ -1,6 +1,17 @@
 // Command experiments regenerates the measurements and structural figures of
-// the paper (see EXPERIMENTS.md for the experiment index).  Run with -e all
-// or a comma-free experiment id such as -e E1.
+// the paper.  Run with -e all or a comma-free experiment id such as -e E1:
+//
+//	E1     compression of the land-use (ground occupancy) map
+//	E2     compression of the rivers/lakes map
+//	E3     compression of the commune map
+//	E4     lines-per-point degree statistics
+//	E5     the four evaluation strategies on one instance
+//	E6     translation cost: FO target vs fixpoint target
+//	E7     fixpoint(+counting) queries on invariants (component parity)
+//	F1     connected components and the component tree (Figs. 1 and 2)
+//	F9     cone families told apart only by the full cyclic order (Fig. 9)
+//	F10    instances FO on the invariant tells apart and FOtop(R,<) cannot
+//	       (Fig. 10)
 package main
 
 import (

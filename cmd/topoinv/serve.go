@@ -720,7 +720,10 @@ type batchItemResponse struct {
 	Timings *topoinv.StageTiming `json:"timings,omitempty"`
 }
 
-func batchItem(index int, res topoinv.BatchResult, span *topoinv.Span) batchItemResponse {
+// batchItem renders one batch result, ending its span (nil unless timings
+// or slow-request logging asked for one); the tree goes into the response
+// only when the client asked for timings.
+func batchItem(index int, res topoinv.BatchResult, span *topoinv.Span, timings bool) batchItemResponse {
 	out := batchItemResponse{
 		Index:     index,
 		Answer:    res.Answer,
@@ -733,8 +736,8 @@ func batchItem(index int, res topoinv.BatchResult, span *topoinv.Span) batchItem
 	if res.Err != nil {
 		out.Error = res.Err.Error()
 	}
-	if span != nil {
-		span.End()
+	span.End()
+	if timings {
 		out.Timings = span.Timings()
 	}
 	return out
@@ -787,7 +790,8 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		engReq := topoinv.BatchRequest{Instance: inst, Query: q, Ctx: r.Context()}
-		if timings {
+		// As in handleAsk: slow-request logging needs a tree to print too.
+		if timings || s.slow > 0 {
 			spans[i] = topoinv.StartSpan("batch_item")
 			engReq.Span = spans[i]
 		}
@@ -846,7 +850,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		for res := range s.engine.BatchStream(engReqs, defStrat) {
 			i := origIdx[res.Index]
-			item := batchItem(i, res, spans[i])
+			item := batchItem(i, res, spans[i], timings)
 			s.logSlow(r, "batch_item", req.Requests[i].ID, res, spans[i])
 			emit(item)
 		}
@@ -855,7 +859,7 @@ func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	for _, res := range s.engine.Batch(engReqs, defStrat) {
 		i := origIdx[res.Index]
-		out[i] = batchItem(i, res, spans[i])
+		out[i] = batchItem(i, res, spans[i], timings)
 		s.logSlow(r, "batch_item", req.Requests[i].ID, res, spans[i])
 	}
 	writeJSON(w, http.StatusOK, out)

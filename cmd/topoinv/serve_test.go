@@ -6,9 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/topoinv"
 )
@@ -559,5 +563,66 @@ func TestServeBatchNDJSON(t *testing.T) {
 		if seen[i].Error != "" || !seen[i].Answer {
 			t.Errorf("item %d: %+v, want a true answer", i, seen[i])
 		}
+	}
+}
+
+// lockedBuffer is a bytes.Buffer safe for the server's handler goroutines
+// to write while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestServeSlowBatchItemLogsSpanTree: under -slow, a slow batch item is
+// logged with its span tree, as a slow ask is, and the response still
+// carries no timings unless ?debug=timings asked for them.
+func TestServeSlowBatchItemLogsSpanTree(t *testing.T) {
+	var logs lockedBuffer
+	prev := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logs, nil)))
+	t.Cleanup(func() { slog.SetDefault(prev) })
+
+	srv := newServer(topoinv.NewEngine())
+	srv.slow = time.Nanosecond
+	ts := httptest.NewServer(srv.routes())
+	t.Cleanup(ts.Close)
+	var loaded loadResponse
+	postJSON(t, ts.URL+"/v1/instances", loadRequest{Workload: "nested", Scale: 1}, &loaded)
+
+	breq := batchRequest{Requests: []askRequest{{ID: loaded.ID, Formula: "exists u . in(P, u)"}}}
+	var raw []map[string]json.RawMessage
+	if resp := postJSON(t, ts.URL+"/v1/batch", breq, &raw); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch: status %d", resp.StatusCode)
+	}
+	if len(raw) != 1 {
+		t.Fatalf("batch: %d results, want 1", len(raw))
+	}
+	if _, ok := raw[0]["timings"]; ok {
+		t.Error("batch item carries timings without ?debug=timings")
+	}
+
+	var slowLine string
+	for _, line := range strings.Split(logs.String(), "\n") {
+		if strings.Contains(line, "slow request") && strings.Contains(line, "kind=batch_item") {
+			slowLine = line
+		}
+	}
+	if slowLine == "" {
+		t.Fatalf("no slow-request line for the batch item in:\n%s", logs.String())
+	}
+	if !strings.Contains(slowLine, `span="batch_item `) {
+		t.Errorf("slow batch item logged without its span tree: %s", slowLine)
 	}
 }

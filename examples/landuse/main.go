@@ -1,7 +1,7 @@
 // Command landuse reproduces the paper's practical-considerations
 // measurements on synthetic cartographic workloads: how much smaller the
 // topological invariant is than the raw data, and the lines-per-point degree
-// statistics (experiments E1–E4 of EXPERIMENTS.md).
+// statistics (experiments E1–E4 of cmd/experiments).
 package main
 
 import (

@@ -121,35 +121,6 @@ type Vertex struct {
 // twice).
 func (v *Vertex) Degree() int { return len(v.Cone) / 2 }
 
-// IncidentEdges returns the distinct edges incident to the vertex.
-func (v *Vertex) IncidentEdges() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range v.Cone {
-		if c.Kind == EdgeCell && !seen[c.Index] {
-			seen[c.Index] = true
-			out = append(out, c.Index)
-		}
-	}
-	return out
-}
-
-// IncidentFaces returns the distinct faces incident to the vertex.
-func (v *Vertex) IncidentFaces() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range v.Cone {
-		if c.Kind == FaceCell && !seen[c.Index] {
-			seen[c.Index] = true
-			out = append(out, c.Index)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, v.Face)
-	}
-	return out
-}
-
 // Edge is a 1-cell: a maximal open curve of the decomposition.
 // Its geometry is the polyline Chain.  V1/V2 are the endpoint vertex IDs:
 //   - ordinary edge: V1 and V2 are distinct (a "proper edge" in the paper);
@@ -229,7 +200,6 @@ type Stats struct {
 	ReducedVertices  int
 	ReducedEdges     int
 	Faces            int
-	CandidatePairs   int
 	IntersectionOps  int
 	MaxLinesPerPoint int
 	AvgLinesPerPoint float64
@@ -264,63 +234,41 @@ func (c *Complex) Cell(ref CellRef) (map[string]Sign, error) {
 	}
 }
 
-// Option configures Build.
-type Option func(*config)
-
-type config struct {
-	naivePairs bool
-}
-
-// WithNaivePairFinding selects the quadratic all-pairs reference pipeline —
-// exact bounding-box candidate search, post-hoc point-on-segment scans,
-// ray-shot face representatives and point-location classification — instead
-// of the sweep.  It exists solely for ablation benchmarks and differential
-// testing against the sweep path.
-func WithNaivePairFinding() Option {
-	return func(c *config) { c.naivePairs = true }
-}
-
 // Build computes the maximum topological cell decomposition of the instance.
 // It trusts the instance's geometry: spatial.Instance.Set validated every
 // region when the instance was built, so Build does not check it again.
-func Build(inst *spatial.Instance, opts ...Option) (*Complex, error) {
-	var cfg config
-	for _, o := range opts {
-		o(&cfg)
-	}
+func Build(inst *spatial.Instance) (*Complex, error) {
 	start := time.Now()
-
-	// 1. Subdivision.
-	sub := subdivide(inst, cfg.naivePairs)
-
-	// 2. Face tracing on the full subdivision.
-	full, err := traceFaces(sub)
+	full, err := traceFaces(subdivide(inst))
 	if err != nil {
 		mBuilds.With("error").Inc()
 		return nil, err
 	}
-
-	// 3. Sign classification of the full complex.
-	classify(full, inst)
-
-	// 4. Topological reduction.
-	cx := reduce(full, inst)
-	cx.Schema = inst.Schema()
-	cx.Stats.InputSegments = sub.inputSegments
-	cx.Stats.SubSegments = len(sub.segments)
-	cx.Stats.FullVertices = len(sub.points)
-	cx.Stats.CandidatePairs = sub.candidatePairs
-	cx.Stats.IntersectionOps = sub.intersectionOps
-	cx.Stats.ReducedVertices = len(cx.Vertices)
-	cx.Stats.ReducedEdges = len(cx.Edges)
-	cx.Stats.Faces = len(cx.Faces)
-	fillDegreeStats(cx)
+	full.classify()
+	cx := finish(full, inst)
 	mBuildLatency.ObserveDuration(time.Since(start))
 	mBuilds.With("ok").Inc()
 	mSubSegments.Add(uint64(cx.Stats.SubSegments))
 	mIntersectionOps.Add(uint64(cx.Stats.IntersectionOps))
 	mFacesClassified.Add(uint64(cx.Stats.Faces))
 	return cx, nil
+}
+
+// finish reduces the classified full subdivision to the maximum topological
+// cell decomposition and records the construction statistics.
+func finish(full *fullComplex, inst *spatial.Instance) *Complex {
+	sub := full.sub
+	cx := reduce(full)
+	cx.Schema = inst.Schema()
+	cx.Stats.InputSegments = len(sub.inputSegs)
+	cx.Stats.SubSegments = len(sub.segments)
+	cx.Stats.FullVertices = len(sub.points)
+	cx.Stats.IntersectionOps = sub.intersectionOps
+	cx.Stats.ReducedVertices = len(cx.Vertices)
+	cx.Stats.ReducedEdges = len(cx.Edges)
+	cx.Stats.Faces = len(cx.Faces)
+	fillDegreeStats(cx)
+	return cx
 }
 
 func fillDegreeStats(cx *Complex) {
@@ -340,89 +288,6 @@ func fillDegreeStats(cx *Complex) {
 	if count > 0 {
 		cx.Stats.AvgLinesPerPoint = float64(total) / float64(count)
 	}
-}
-
-// VerticesByPoint returns a map from point key to vertex ID, useful in tests.
-func (c *Complex) VerticesByPoint() map[string]int {
-	out := make(map[string]int, len(c.Vertices))
-	for _, v := range c.Vertices {
-		out[v.Point.Key()] = v.ID
-	}
-	return out
-}
-
-// FaceOfPoint returns the ID of the cell containing the given point: a vertex
-// if the point is a vertex, an edge if it lies on an edge, otherwise the face
-// containing it.
-func (c *Complex) FaceOfPoint(p geom.Point) CellRef {
-	for _, v := range c.Vertices {
-		if v.Point.Equal(p) {
-			return CellRef{VertexCell, v.ID}
-		}
-	}
-	for _, e := range c.Edges {
-		for i := 0; i+1 < len(e.Chain); i++ {
-			s := geom.Seg(e.Chain[i], e.Chain[i+1])
-			if s.ContainsPoint(p) {
-				return CellRef{EdgeCell, e.ID}
-			}
-		}
-	}
-	// Locate among faces: find the bounded face whose sign-class
-	// representative polygon test succeeds.  We use the face assignment
-	// machinery indirectly: the face containing p is the one whose boundary
-	// cycles wind around p an odd number of times.  For simplicity, test
-	// faces from innermost to outermost using their boundary edges.
-	best := c.ExteriorFace
-	bestArea := -1.0
-	for _, f := range c.Faces {
-		if f.Exterior {
-			continue
-		}
-		pts := c.faceOuterApprox(f)
-		if len(pts) < 3 {
-			continue
-		}
-		if crossingContains(pts, p) {
-			a := approxAbsArea(pts)
-			//lint:allow exactfloat(innermost-face tie-break on approximate areas; the parity test above is exact, ties only reorder equal candidates)
-			if bestArea < 0 || a < bestArea {
-				bestArea = a
-				best = f.ID
-			}
-		}
-	}
-	return CellRef{FaceCell, best}
-}
-
-// faceOuterApprox returns the concatenated chains of the face's boundary
-// edges — an over-approximation usable only for point-location heuristics in
-// FaceOfPoint (exact use sites avoid it).
-func (c *Complex) faceOuterApprox(f *Face) []geom.Point {
-	var pts []geom.Point
-	for _, eid := range f.Edges {
-		pts = append(pts, c.Edges[eid].Chain...)
-	}
-	return pts
-}
-
-// approxAbsArea is the shoelace area over float64 approximations of the
-// exact vertices.  It only ranks candidate faces by size in FaceOfPoint — a
-// heuristic, never a topological decision — which is the one job float64 is
-// allowed to do in this package.
-//
-//lint:allow exactfloat(size-ranking heuristic only; exact predicates decide membership before areas break ties)
-func approxAbsArea(pts []geom.Point) float64 {
-	sum := 0.0
-	for i := 0; i < len(pts); i++ {
-		x1, y1 := pts[i].Float()
-		x2, y2 := pts[(i+1)%len(pts)].Float()
-		sum += x1*y2 - x2*y1
-	}
-	if sum < 0 {
-		sum = -sum
-	}
-	return sum
 }
 
 // SortedRegionNames returns the schema's region names in schema order.

@@ -8,30 +8,35 @@ import (
 	"repro/internal/spatial"
 )
 
-func buildOne(t *testing.T, name string, r region.Region, opts ...Option) *Complex {
+func buildOne(t *testing.T, name string, r region.Region) *Complex {
 	t.Helper()
-	sc := spatial.MustSchema(name)
-	inst := spatial.MustBuild(sc, map[string]region.Region{name: r})
-	cx, err := Build(inst, opts...)
+	return buildMany(t, map[string]region.Region{name: r})
+}
+
+func buildMany(t *testing.T, regs map[string]region.Region) *Complex {
+	t.Helper()
+	cx, err := Build(instanceOf(regs))
 	if err != nil {
 		t.Fatalf("Build: %v", err)
 	}
 	return cx
 }
 
-func buildMany(t *testing.T, regs map[string]region.Region, opts ...Option) *Complex {
-	t.Helper()
+func instanceOf(regs map[string]region.Region) *spatial.Instance {
 	names := make([]string, 0, len(regs))
 	for n := range regs {
 		names = append(names, n)
 	}
-	sc := spatial.MustSchema(names...)
-	inst := spatial.MustBuild(sc, regs)
-	cx, err := Build(inst, opts...)
-	if err != nil {
-		t.Fatalf("Build: %v", err)
+	return spatial.MustBuild(spatial.MustSchema(names...), regs)
+}
+
+// verticesByPoint maps each vertex's point key to its ID.
+func verticesByPoint(cx *Complex) map[string]int {
+	out := make(map[string]int, len(cx.Vertices))
+	for _, v := range cx.Vertices {
+		out[v.Point.Key()] = v.ID
 	}
-	return cx
+	return out
 }
 
 func countFreeLoops(cx *Complex) int {
@@ -151,7 +156,7 @@ func TestTwoOverlappingRectanglesTwoRegions(t *testing.T) {
 	if len(cx.Faces) != 4 {
 		t.Fatalf("faces = %d, want 4", len(cx.Faces))
 	}
-	byPt := cx.VerticesByPoint()
+	byPt := verticesByPoint(cx)
 	if _, ok := byPt[geom.Pt(4, 2).Key()]; !ok {
 		t.Error("missing vertex at (4,2)")
 	}
@@ -445,12 +450,7 @@ func TestSweepAndNaivePairFindingAgree(t *testing.T) {
 		"R": region.FromPolyline(geom.MustPolyline(geom.Pt(-2, 6), geom.Pt(14, 6))),
 		"S": region.Annulus(1, 1, 7, 7, 2),
 	}
-	a := buildMany(t, regs)
-	b := buildMany(t, regs, WithNaivePairFinding())
-	if len(a.Vertices) != len(b.Vertices) || len(a.Edges) != len(b.Edges) || len(a.Faces) != len(b.Faces) {
-		t.Errorf("sweep vs naive mismatch: V=%d/%d E=%d/%d F=%d/%d",
-			len(a.Vertices), len(b.Vertices), len(a.Edges), len(b.Edges), len(a.Faces), len(b.Faces))
-	}
+	checkAgainstReference(t, instanceOf(regs))
 }
 
 func TestTranslationInvariance(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/region"
 	"repro/internal/spatial"
+	"repro/internal/workload"
 )
 
 // squaresInstance is one region made of rows×cols disjoint unit squares: many
@@ -77,4 +78,28 @@ func BenchmarkArrangementScaling(b *testing.B) {
 			b.ReportMetric(float64(faces), "faces")
 		})
 	}
+}
+
+// BenchmarkAblationIntersection compares Build against the quadratic
+// reference pipeline (all-pairs boxes, ray-shot face representatives,
+// point-location classification) on the scale-1 land-use map.
+func BenchmarkAblationIntersection(b *testing.B) {
+	inst, err := workload.LandUse(workload.DefaultLandUse(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("sweep", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := Build(inst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("naive-pairs", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := buildReference(inst); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -1,10 +1,5 @@
 package arrangement
 
-import (
-	"repro/internal/geom"
-	"repro/internal/spatial"
-)
-
 // classify computes the sign class (interior / boundary / exterior) of every
 // cell of the full subdivision with respect to every region of the instance.
 //
@@ -23,29 +18,18 @@ import (
 //     is non-exterior, else boundary.  Isolated vertices inside the region
 //     are interior only if their containing face is interior.
 //
-// On the sweep path the signs are derived combinatorially from the boundary
-// sources recorded during subdivision (classifySweep); the naive reference
-// path point-locates representative points in the regions instead.
-func classify(fc *fullComplex, inst *spatial.Instance) {
-	if fc.sub.below != nil {
-		fc.classifySweep()
-		return
-	}
-	fc.classifyByLocation(inst)
-}
-
-// classifySweep derives every sign class without a single point-in-region
-// query.  Crossing an edge covered by a ring toggles the containment parity
-// of that ring, so a breadth-first walk over the face dual graph — rooted at
-// the exterior face, whose parity set is empty — labels every face with the
-// set of rings containing it.  A face is interior to a region iff some area
-// feature of the region has its outer ring in the set and no hole ring in
-// the set.  Edge and vertex signs then follow from the face signs plus the
-// recorded boundary coverage: a cell lies in the closed region iff it is on
-// a recorded boundary source or in an interior face, and the
+// The signs are derived without a single point-in-region query.  Crossing
+// an edge covered by a ring toggles the containment parity of that ring, so
+// a breadth-first walk over the face dual graph — rooted at the exterior
+// face, whose parity set is empty — labels every face with the set of rings
+// containing it.  A face is interior to a region iff some area feature of
+// the region has its outer ring in the set and no hole ring in the set.
+// Edge and vertex signs then follow from the face signs plus the boundary
+// sources recorded during subdivision: a cell lies in the closed region iff
+// it is on a recorded boundary source or in an interior face, and the
 // interior-versus-boundary split only inspects already-computed signs of the
 // incident cells.
-func (fc *fullComplex) classifySweep() {
+func (fc *fullComplex) classify() {
 	src := fc.sub.src
 	names := src.names
 	sub := fc.sub
@@ -188,89 +172,6 @@ func (fc *fullComplex) classifySweep() {
 			case interior:
 				m[name] = Interior
 			default:
-				m[name] = Boundary
-			}
-		}
-		fc.vertexSign[v] = m
-	}
-}
-
-// classifyByLocation is the point-location reference implementation used on
-// the naive differential-testing path: every face representative, edge
-// midpoint and vertex is located in every region with Region.Contains.
-func (fc *fullComplex) classifyByLocation(inst *spatial.Instance) {
-	names := inst.Schema().Names()
-
-	// Faces.
-	fc.faceSign = make([]map[string]Sign, len(fc.faces))
-	for _, f := range fc.faces {
-		m := make(map[string]Sign, len(names))
-		for _, name := range names {
-			if inst.Region(name).Contains(f.rep) {
-				m[name] = Interior
-			} else {
-				m[name] = Exterior
-			}
-		}
-		fc.faceSign[f.id] = m
-	}
-
-	// Edges (sub-segments).
-	fc.segSign = make([]map[string]Sign, len(fc.sub.segments))
-	for i, s := range fc.sub.segments {
-		mid := geom.Mid(fc.sub.points[s.a], fc.sub.points[s.b])
-		leftFace := fc.heFace[2*i]
-		rightFace := fc.heFace[2*i+1]
-		m := make(map[string]Sign, len(names))
-		for _, name := range names {
-			if !inst.Region(name).Contains(mid) {
-				m[name] = Exterior
-				continue
-			}
-			if fc.faceSign[leftFace][name] == Interior && fc.faceSign[rightFace][name] == Interior {
-				m[name] = Interior
-			} else {
-				m[name] = Boundary
-			}
-		}
-		fc.segSign[i] = m
-	}
-
-	// Vertices.
-	fc.vertexSign = make([]map[string]Sign, len(fc.sub.points))
-	for v := range fc.sub.points {
-		p := fc.sub.points[v]
-		m := make(map[string]Sign, len(names))
-		out := fc.vertexOut[v]
-		for _, name := range names {
-			if !inst.Region(name).Contains(p) {
-				m[name] = Exterior
-				continue
-			}
-			interior := true
-			if len(out) == 0 {
-				// Isolated vertex: interior iff its containing face is
-				// interior (then a neighbourhood minus the point is in the
-				// region, and so is the point).
-				f, ok := fc.vertexFace[v]
-				if !ok || fc.faceSign[f][name] != Interior {
-					interior = false
-				}
-			} else {
-				for _, h := range out {
-					if fc.faceSign[fc.heFace[h]][name] != Interior {
-						interior = false
-						break
-					}
-					if fc.segSign[segOf(h)][name] == Exterior {
-						interior = false
-						break
-					}
-				}
-			}
-			if interior {
-				m[name] = Interior
-			} else {
 				m[name] = Boundary
 			}
 		}

@@ -30,13 +30,11 @@ type fullComplex struct {
 
 	exteriorFace int
 
-	isolatedVerts []int
 	// vertexFace[v] is, for isolated vertices, the face containing them.
 	vertexFace map[int]int
 
-	// Sweep-order location state (only on the sweep path): non-isolated
-	// vertices per x column in ascending y, and the resolved face of every
-	// cycle.
+	// Sweep-order location state: non-isolated vertices per x column in
+	// ascending y, and the resolved face of every cycle.
 	cols      map[string][]int
 	cycleFace []int
 
@@ -49,19 +47,15 @@ type fullComplex struct {
 type cycleInfo struct {
 	id        int
 	halfEdges []int
-	area2     rat.R // twice the signed area
-	rep       geom.Point
-	repOK     bool
-	face      int // assigned face
+	area2     rat.R      // twice the signed area
+	rep       geom.Point // a point inside the face left of the cycle; set for positive cycles
+	face      int        // assigned face
 }
 
 type fullFace struct {
 	id       int
 	exterior bool
 	rep      geom.Point
-	cycles   []int
-	isolated []int
-	outer    int // cycle id of the outer boundary (-1 for the exterior face)
 }
 
 func twin(h int) int { return h ^ 1 }
@@ -97,9 +91,35 @@ func dirHalf(d geom.Point) int {
 	}
 }
 
-// traceFaces builds the rotation system on the subdivision and traces the
-// boundary cycles and faces of the planar subdivision.
+// traceFaces builds the rotation system on the subdivision, traces the
+// boundary cycles and faces of the planar subdivision, and locates every
+// hole cycle and isolated vertex in its face from the sweep order.
 func traceFaces(sub *subdivision) (*fullComplex, error) {
+	fc, err := traceCycles(sub)
+	if err != nil {
+		return nil, err
+	}
+	for _, c := range fc.cycles {
+		if c.area2.Sign() > 0 {
+			if c.rep, err = fc.sweepRep(c); err != nil {
+				return nil, err
+			}
+		}
+	}
+	fc.addFaces()
+	fc.assignBySweepOrder()
+	fc.recordHalfEdgeFaces()
+	for _, v := range sub.isolatedCandidates {
+		if len(fc.vertexOut[v]) == 0 {
+			fc.vertexFace[v] = fc.resolveBelow(sub.points[v])
+		}
+	}
+	return fc, nil
+}
+
+// traceCycles builds the rotation system on the subdivision and traces its
+// boundary cycles.
+func traceCycles(sub *subdivision) (*fullComplex, error) {
 	fc := &fullComplex{sub: sub, vertexFace: make(map[int]int)}
 	nHE := 2 * len(sub.segments)
 	fc.heOrigin = make([]int, nHE)
@@ -170,85 +190,38 @@ func traceFaces(sub *subdivision) (*fullComplex, error) {
 		c.area2 = fc.cycleArea2(c)
 		fc.cycles = append(fc.cycles, c)
 	}
+	return fc, nil
+}
 
-	// A point inside the face left of each cycle.  The sweep path needs one
-	// only per positive cycle (a bounded face) and reads it off the sweep's
-	// neighbour records; the naive path ray-shoots one per cycle for the
-	// crossing-parity relocation below.
-	sweepOrder := sub.below != nil
-	for _, c := range fc.cycles {
-		switch {
-		case !sweepOrder:
-			c.rep, c.repOK = fc.cycleRep(c)
-		case c.area2.Sign() > 0:
-			rep, err := fc.sweepRep(c)
-			if err != nil {
-				return nil, err
-			}
-			c.rep, c.repOK = rep, true
-		}
-	}
-
-	// Faces: one per positive-area cycle, plus the exterior face.
+// addFaces creates one bounded face per positive-area cycle, represented by
+// the cycle's rep, plus the exterior face.
+func (fc *fullComplex) addFaces() {
 	for _, c := range fc.cycles {
 		if c.area2.Sign() > 0 {
-			f := &fullFace{id: len(fc.faces), cycles: []int{c.id}, outer: c.id, rep: c.rep}
+			f := &fullFace{id: len(fc.faces), rep: c.rep}
 			c.face = f.id
 			fc.faces = append(fc.faces, f)
 		}
 	}
-	ext := &fullFace{id: len(fc.faces), exterior: true, outer: -1}
+	ext := &fullFace{id: len(fc.faces), exterior: true, rep: fc.exteriorRep()}
 	fc.faces = append(fc.faces, ext)
 	fc.exteriorFace = ext.id
-	ext.rep = fc.exteriorRep()
+}
 
-	if sweepOrder {
-		fc.assignBySweepOrder()
-	} else {
-		// Assign hole-like cycles (area <= 0) to their containing face by
-		// crossing-parity relocation of a representative point.
-		for _, c := range fc.cycles {
-			if c.area2.Sign() > 0 {
-				continue
-			}
-			f := fc.containingFace(c.rep, c.repOK)
-			c.face = f
-			fc.faces[f].cycles = append(fc.faces[f].cycles, c.id)
-		}
-	}
-
-	// Record the face of every half-edge.
-	for h := 0; h < nHE; h++ {
+// recordHalfEdgeFaces records the face of every half-edge, once every cycle
+// has been assigned its face.
+func (fc *fullComplex) recordHalfEdgeFaces() {
+	for h := range fc.heFace {
 		fc.heFace[h] = fc.cycles[fc.heCycle[h]].face
 	}
-
-	// Isolated vertices: those with no incident half-edges that came from
-	// dimension-0 features.
-	for _, v := range sub.isolatedCandidates {
-		if len(fc.vertexOut[v]) > 0 {
-			continue
-		}
-		fc.isolatedVerts = append(fc.isolatedVerts, v)
-		var f int
-		if sweepOrder {
-			f = fc.resolveBelow(sub.points[v])
-		} else {
-			f = fc.containingFace(sub.points[v], true)
-		}
-		fc.vertexFace[v] = f
-		fc.faces[f].isolated = append(fc.faces[f].isolated, v)
-	}
-	sort.Ints(fc.isolatedVerts)
-	return fc, nil
 }
 
 // --- sweep-order location ---------------------------------------------------
 //
-// On the sweep path, hole cycles and isolated vertices are located from the
-// sweep's status order instead of by crossing-parity relocation of a
-// representative point.  For an event point p, sub.below[p.Key()] names the
-// non-vertical input segment whose supporting line passed strictly below p
-// when the sweep reached it.  The obstruction directly below p is either a
+// Hole cycles and isolated vertices are located from the sweep's status
+// order.  For an event point p, sub.below[p.Key()] names the non-vertical
+// input segment whose supporting line passed strictly below p when the
+// sweep reached it.  The obstruction directly below p is either a
 // point strictly inside a sub-segment of that segment, or a subdivision
 // vertex in p's own x column — the column covers what the status cannot see:
 // vertical segments (never in the status) and segments removed at an earlier
@@ -377,9 +350,7 @@ func (fc *fullComplex) assignBySweepOrder() {
 		if c.area2.Sign() > 0 {
 			continue
 		}
-		f := resolve(c.id)
-		c.face = f
-		fc.faces[f].cycles = append(fc.faces[f].cycles, c.id)
+		c.face = resolve(c.id)
 	}
 }
 
@@ -438,96 +409,6 @@ func (fc *fullComplex) cycleArea2(c *cycleInfo) rat.R {
 	return sum
 }
 
-// cycleRep returns a point strictly inside the face bounded by the cycle
-// (the face to the left of its half-edges).  ok is false only when the
-// subdivision has no segments at all.  It shoots a ray against every
-// sub-segment and vertex, so only the naive reference path uses it.
-func (fc *fullComplex) cycleRep(c *cycleInfo) (geom.Point, bool) {
-	if len(c.halfEdges) == 0 {
-		return geom.Point{}, false
-	}
-	h := c.halfEdges[0]
-	a := fc.sub.points[fc.heOrigin[h]]
-	b := fc.sub.points[fc.heTarget[h]]
-	m := geom.Mid(a, b)
-	d := b.Sub(a)
-	// Left normal of the direction d.
-	n := geom.PtR(d.Y.Neg(), d.X)
-
-	// Find the smallest positive t at which the ray m + t·n meets another
-	// sub-segment or a vertex.
-	var tMin rat.R
-	found := false
-	consider := func(t rat.R) {
-		if t.Sign() <= 0 {
-			return
-		}
-		if !found || t.Less(tMin) {
-			tMin, found = t, true
-		}
-	}
-	nn := n.X.Mul(n.X).Add(n.Y.Mul(n.Y))
-	for si, s := range fc.sub.segments {
-		if si == segOf(h) {
-			continue
-		}
-		p := fc.sub.points[s.a]
-		q := fc.sub.points[s.b]
-		for _, t := range raySegmentHits(m, n, nn, p, q) {
-			consider(t)
-		}
-	}
-	for _, p := range fc.sub.points {
-		// Vertices exactly on the ray.
-		v := p.Sub(m)
-		cross := v.X.Mul(n.Y).Sub(v.Y.Mul(n.X))
-		if cross.Sign() != 0 {
-			continue
-		}
-		dot := v.X.Mul(n.X).Add(v.Y.Mul(n.Y))
-		if dot.Sign() > 0 {
-			consider(dot.Div(nn))
-		}
-	}
-	if !found {
-		// The face extends to infinity on this side; step out by 1.
-		return geom.PtR(m.X.Add(n.X), m.Y.Add(n.Y)), true
-	}
-	half := tMin.Mul(rat.Half)
-	return geom.PtR(m.X.Add(half.Mul(n.X)), m.Y.Add(half.Mul(n.Y))), true
-}
-
-// raySegmentHits returns the parameters t > 0 at which the ray m + t·n meets
-// the closed segment pq.  nn is n·n (precomputed).
-func raySegmentHits(m, n geom.Point, nn rat.R, p, q geom.Point) []rat.R {
-	d := q.Sub(p)
-	denom := n.X.Mul(d.Y).Sub(n.Y.Mul(d.X))
-	w := p.Sub(m)
-	if denom.Sign() == 0 {
-		// Parallel.  Collinear overlap contributes its endpoints.
-		cross := w.X.Mul(n.Y).Sub(w.Y.Mul(n.X))
-		if cross.Sign() != 0 {
-			return nil
-		}
-		var out []rat.R
-		for _, e := range []geom.Point{p, q} {
-			v := e.Sub(m)
-			dot := v.X.Mul(n.X).Add(v.Y.Mul(n.Y))
-			if dot.Sign() > 0 {
-				out = append(out, dot.Div(nn))
-			}
-		}
-		return out
-	}
-	// Solve m + t n = p + s d:  t = (w × d) / (n × d), s = (w × n) / (n × d).
-	t := w.X.Mul(d.Y).Sub(w.Y.Mul(d.X)).Div(denom)
-	s := w.X.Mul(n.Y).Sub(w.Y.Mul(n.X)).Div(denom)
-	if t.Sign() > 0 && s.Sign() >= 0 && s.LessEq(rat.One) {
-		return []rat.R{t}
-	}
-	return nil
-}
-
 // exteriorRep returns a point guaranteed to lie in the unbounded face.
 func (fc *fullComplex) exteriorRep() geom.Point {
 	if len(fc.sub.points) == 0 {
@@ -535,66 +416,4 @@ func (fc *fullComplex) exteriorRep() geom.Point {
 	}
 	b := geom.BoxAround(fc.sub.points...)
 	return geom.PtR(b.MaxX.Add(rat.One), b.MaxY.Add(rat.One))
-}
-
-// containingFace returns the ID of the face containing point p: the bounded
-// face whose outer cycle has minimal area among those strictly containing p,
-// or the exterior face.  p must not lie on any edge or vertex of the
-// subdivision.
-func (fc *fullComplex) containingFace(p geom.Point, ok bool) int {
-	if !ok {
-		return fc.exteriorFace
-	}
-	best := fc.exteriorFace
-	var bestArea rat.R
-	haveBest := false
-	for _, f := range fc.faces {
-		if f.exterior {
-			continue
-		}
-		c := fc.cycles[f.outer]
-		if !fc.cycleContains(c, p) {
-			continue
-		}
-		if !haveBest || c.area2.Less(bestArea) {
-			haveBest = true
-			bestArea = c.area2
-			best = f.id
-		}
-	}
-	return best
-}
-
-// cycleContains reports whether point p is enclosed by the closed polygonal
-// curve of the cycle (crossing-number parity).  p must not lie on the curve.
-func (fc *fullComplex) cycleContains(c *cycleInfo, p geom.Point) bool {
-	pts := make([]geom.Point, 0, len(c.halfEdges))
-	for _, h := range c.halfEdges {
-		pts = append(pts, fc.sub.points[fc.heOrigin[h]])
-	}
-	return crossingContains(pts, p)
-}
-
-// crossingContains applies the crossing-number parity test of p against the
-// closed polygonal curve through pts (in order).  The result is undefined if
-// p lies on the curve.
-func crossingContains(pts []geom.Point, p geom.Point) bool {
-	crossings := 0
-	n := len(pts)
-	for i := 0; i < n; i++ {
-		a, b := pts[i], pts[(i+1)%n]
-		if a.Y.Equal(b.Y) {
-			continue
-		}
-		cond1 := a.Y.LessEq(p.Y) && p.Y.Less(b.Y)
-		cond2 := b.Y.LessEq(p.Y) && p.Y.Less(a.Y)
-		if cond1 || cond2 {
-			t := p.Y.Sub(a.Y).Div(b.Y.Sub(a.Y))
-			x := a.X.Add(t.Mul(b.X.Sub(a.X)))
-			if p.X.Less(x) {
-				crossings++
-			}
-		}
-	}
-	return crossings%2 == 1
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/rat"
 	"repro/internal/region"
 	"repro/internal/spatial"
 	"repro/internal/workload"
@@ -210,10 +211,10 @@ func diffStrings(kind string, a, b []string) string {
 func FuzzSweepSubdivisionVsNaive(f *testing.F) {
 	// Workload-derived seeds: all five generators' realistic degeneracy
 	// sources, one record stream per instance.
-	for _, inst := range fuzzWorkloadInstances(f) {
+	for _, w := range fuzzWorkloadInstances(f) {
 		var seed []byte
-		for _, name := range inst.SortedNames() {
-			for _, feat := range inst.Region(name).Features {
+		for _, name := range w.inst.SortedNames() {
+			for _, feat := range w.inst.Region(name).Features {
 				if len(seed) > 160 {
 					break
 				}
@@ -270,28 +271,58 @@ func FuzzSweepSubdivisionVsNaive(f *testing.F) {
 		if !ok {
 			return
 		}
-		a, aerr := Build(inst)
-		b, berr := Build(inst, WithNaivePairFinding())
-		if (aerr == nil) != (berr == nil) {
-			t.Fatalf("build verdicts differ: sweep %v, naive %v", aerr, berr)
-		}
-		if aerr != nil {
-			return
-		}
-		av, ae, af := complexSummary(a)
-		bv, be, bf := complexSummary(b)
-		for _, d := range []string{
-			diffStrings("vertex", av, bv),
-			diffStrings("edge", ae, be),
-			diffStrings("face", af, bf),
-		} {
-			if d != "" {
-				t.Fatalf("sweep vs naive complex mismatch: %s", d)
-			}
-		}
-		checkFaceReps(t, "sweep", inst, a)
-		checkFaceReps(t, "naive", inst, b)
+		checkAgainstReference(t, inst)
 	})
+}
+
+// checkAgainstReference builds the instance with Build and with the
+// quadratic reference and requires the two complexes to agree cell for cell,
+// with valid face representatives on both.
+func checkAgainstReference(t *testing.T, inst *spatial.Instance) {
+	t.Helper()
+	a, aerr := Build(inst)
+	b, berr := buildReference(inst)
+	if (aerr == nil) != (berr == nil) {
+		t.Fatalf("build verdicts differ: sweep %v, naive %v", aerr, berr)
+	}
+	if aerr != nil {
+		return
+	}
+	av, ae, af := complexSummary(a)
+	bv, be, bf := complexSummary(b)
+	for _, d := range []string{
+		diffStrings("vertex", av, bv),
+		diffStrings("edge", ae, be),
+		diffStrings("face", af, bf),
+	} {
+		if d != "" {
+			t.Fatalf("sweep vs naive complex mismatch: %s", d)
+		}
+	}
+	checkFaceReps(t, "sweep", inst, a)
+	checkFaceReps(t, "naive", inst, b)
+}
+
+// TestSweepAndReferenceAgreeOnWorkloads runs the fuzz target's comparison on
+// inputs the fuzzer never reaches: each workload generator's full scale-1
+// instance, and the same instance mapped onto the 10⁻⁷ grid GeoJSON import
+// snaps to (scaled by 37·10⁻⁷ and moved near (180, −90)), whose numerators
+// overflow 64-bit intermediates and reach math/big.
+func TestSweepAndReferenceAgreeOnWorkloads(t *testing.T) {
+	k := rat.New(37, 10_000_000)
+	dx, dy := rat.New(1_799_999_993, 10_000_000), rat.New(-899_999_997, 10_000_000)
+	for _, w := range fuzzWorkloadInstances(t) {
+		regs := make(map[string]region.Region)
+		for _, n := range w.inst.SortedNames() {
+			regs[n] = w.inst.Region(n).Scale(k).Translate(dx, dy)
+		}
+		grid, err := spatial.Build(w.inst.Schema(), regs)
+		if err != nil {
+			t.Fatalf("%s on the import grid: %v", w.name, err)
+		}
+		t.Run(w.name, func(t *testing.T) { checkAgainstReference(t, w.inst) })
+		t.Run(w.name+"-grid", func(t *testing.T) { checkAgainstReference(t, grid) })
+	}
 }
 
 // checkFaceReps is the face-representative oracle: every face's Rep lies on
@@ -329,20 +360,32 @@ func checkFaceReps(t *testing.T, which string, inst *spatial.Instance, cx *Compl
 	}
 }
 
+// workloadInstance is one workload generator's instance, with the
+// generator's name.
+type workloadInstance struct {
+	name string
+	inst *spatial.Instance
+}
+
 // fuzzWorkloadInstances returns all five workload generators' instances.
-func fuzzWorkloadInstances(t testing.TB) []*spatial.Instance {
+func fuzzWorkloadInstances(t testing.TB) []workloadInstance {
 	t.Helper()
-	var out []*spatial.Instance
-	add := func(inst *spatial.Instance, err error) {
+	var out []workloadInstance
+	add := func(name string, inst *spatial.Instance, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, inst)
+		out = append(out, workloadInstance{name, inst})
 	}
-	add(workload.LandUse(workload.DefaultLandUse(1)))
-	add(workload.Hydrography(workload.DefaultHydrography(1)))
-	add(workload.Commune(workload.DefaultCommune(1)))
-	add(workload.NestedRegions(3))
-	add(workload.MultiComponent(4))
+	inst, err := workload.LandUse(workload.DefaultLandUse(1))
+	add("landuse", inst, err)
+	inst, err = workload.Hydrography(workload.DefaultHydrography(1))
+	add("hydrography", inst, err)
+	inst, err = workload.Commune(workload.DefaultCommune(1))
+	add("commune", inst, err)
+	inst, err = workload.NestedRegions(3)
+	add("nested", inst, err)
+	inst, err = workload.MultiComponent(4)
+	add("multicomponent", inst, err)
 	return out
 }

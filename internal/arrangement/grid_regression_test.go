@@ -7,6 +7,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/rat"
 	"repro/internal/region"
+	"repro/internal/spatial"
 )
 
 // This file pins the float-grid missed-intersection bug that motivated
@@ -88,13 +89,16 @@ func TestSweepFindsGridMissedCrossing(t *testing.T) {
 	}
 	want := geom.PtR(m2, rat.Zero)
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name  string
+		build func(*spatial.Instance) (*Complex, error)
 	}{
-		{"sweep", nil},
-		{"naive", []Option{WithNaivePairFinding()}},
+		{"sweep", Build},
+		{"naive", buildReference},
 	} {
-		cx := buildMany(t, regs, tc.opts...)
+		cx, err := tc.build(instanceOf(regs))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
 		// The crossing splits both polylines: 4 endpoints + the degree-4
 		// crossing vertex survive reduction.
 		if len(cx.Vertices) != 5 {

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/geom"
-	"repro/internal/spatial"
 )
 
 // reduce removes topologically insignificant cells from the full subdivision
@@ -23,7 +22,7 @@ import (
 //     endpoints, the paper's single-edge connected components);
 //  3. vertices left with no incident edges whose sign class equals their
 //     containing face's sign class are deleted.
-func reduce(fc *fullComplex, inst *spatial.Instance) *Complex {
+func reduce(fc *fullComplex) *Complex {
 	nPts := len(fc.sub.points)
 	nSegs := len(fc.sub.segments)
 

@@ -67,13 +67,12 @@ type subdivision struct {
 	// features; they are isolated only if no sub-segment ends at them.
 	isolatedCandidates []int
 
-	// Classification sources (always built).
+	// Classification sources.
 	src      *srcTables
 	subRings [][]int // per sub-segment: ring IDs covering it (sorted, unique)
 	subLines [][]int // per sub-segment: region indices whose lines cover it
 
-	// Sweep-order data; nil on the naive differential-reference path, which
-	// signals faces.go and classify.go to use the point-location machinery.
+	// Sweep-order data, read by face tracing.
 	below       map[string]int      // event point key -> input segment below, or -1
 	neighbours  [][]sweep.Neighbour // per input segment: status neighbours per split point
 	inputSegs   []geom.Segment      // deduplicated canonical input segments
@@ -81,8 +80,6 @@ type subdivision struct {
 	segIndex    map[[2]int]int      // ID-sorted vertex pair -> sub-segment index
 	subSrc      []splitRef          // per sub-segment: its left end, as a split point of an input segment covering it
 
-	inputSegments   int
-	candidatePairs  int
 	intersectionOps int
 }
 
@@ -101,15 +98,27 @@ func (s *subdivision) vertexID(p geom.Point) int {
 // instance and splits the segments at every mutual intersection so that the
 // resulting elementary sub-segments meet only at endpoints.
 //
-// The default path runs one exact Bentley–Ottmann sweep (sweep.Subdivide):
+// One exact Bentley–Ottmann sweep (sweep.Subdivide) does the splitting:
 // split points come straight from the sweep's intersection events, isolated
 // points ride the same sweep as probe events, and the sweep's status order
 // (the segment strictly below every event point, and the segments strictly
 // above and below every sub-segment) is kept for face tracing.
-// With naivePairs set, the quadratic all-pairs reference is used instead —
-// retained only for differential testing against the sweep path.
-func subdivide(inst *spatial.Instance, naivePairs bool) *subdivision {
-	sub := &subdivision{pointID: make(map[string]int)}
+func subdivide(inst *spatial.Instance) *subdivision {
+	sub, keys, isoPts := gatherInput(inst)
+	sd := sweep.Subdivide(sub.inputSegs, isoPts)
+	sub.below = sd.Below
+	sub.neighbours = sd.Neighbours
+	sub.intersectionOps = sd.Pairs
+	sub.emit(keys, sd.Splits, isoPts)
+	return sub
+}
+
+// gatherInput collects the distinct input segments of the instance into
+// sub.inputSegs, in the order of their keys (returned alongside), and its
+// distinct isolated points, tagging each with the rings, lines and points
+// that produced it.
+func gatherInput(inst *spatial.Instance) (sub *subdivision, keys []string, isoPts []geom.Point) {
+	sub = &subdivision{pointID: make(map[string]int)}
 	src := &srcTables{
 		names:     inst.Schema().Names(),
 		segRings:  make(map[string][]int),
@@ -119,10 +128,7 @@ func subdivide(inst *spatial.Instance, naivePairs bool) *subdivision {
 	src.areaFeats = make([][]areaFeat, len(src.names))
 	sub.src = src
 
-	// Gather the distinct input segments and isolated points, tagging each
-	// with the rings / lines / points that produced it.
 	segSet := make(map[string]geom.Segment)
-	var isoPts []geom.Point
 	for ri, name := range src.names {
 		r := inst.Region(name)
 		for _, f := range r.Features {
@@ -151,68 +157,30 @@ func subdivide(inst *spatial.Instance, naivePairs bool) *subdivision {
 			}
 		}
 	}
-	segs := make([]geom.Segment, 0, len(segSet))
-	keys := make([]string, 0, len(segSet))
+	keys = make([]string, 0, len(segSet))
 	for k := range segSet {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys) // deterministic order
+	sub.inputSegs = make([]geom.Segment, 0, len(segSet))
 	for _, k := range keys {
-		segs = append(segs, segSet[k])
+		sub.inputSegs = append(sub.inputSegs, segSet[k])
 	}
-	sub.inputSegments = len(segs)
-	sub.inputSegs = segs
+	return sub, keys, isoPts
+}
 
-	// Split points for every segment: its endpoints, intersections with other
-	// segments, and isolated points lying on it.
-	splitPts := make([][]geom.Point, len(segs))
-	for i, s := range segs {
-		splitPts[i] = []geom.Point{s.A, s.B}
-	}
-
-	if naivePairs {
-		// Differential reference: exact all-pairs boxes plus a quadratic
-		// point-on-segment scan.
-		pairs := naiveCandidatePairs(segs)
-		sub.candidatePairs = len(pairs)
-		for _, pr := range pairs {
-			i, j := pr[0], pr[1]
-			sub.intersectionOps++
-			in := geom.SegmentIntersection(segs[i], segs[j])
-			switch in.Kind {
-			case geom.PointIntersection:
-				splitPts[i] = append(splitPts[i], in.P)
-				splitPts[j] = append(splitPts[j], in.P)
-			case geom.OverlapIntersection:
-				splitPts[i] = append(splitPts[i], in.OverlapA, in.OverlapB)
-				splitPts[j] = append(splitPts[j], in.OverlapA, in.OverlapB)
-			}
-		}
-		for _, q := range isoPts {
-			for i, s := range segs {
-				if s.ContainsPoint(q) {
-					splitPts[i] = append(splitPts[i], q)
-				}
-			}
-		}
-	} else {
-		sd := sweep.Subdivide(segs, isoPts)
-		for i := range segs {
-			splitPts[i] = append(splitPts[i], sd.Splits[i]...)
-		}
-		sub.below = sd.Below
-		sub.neighbours = sd.Neighbours
-		sub.candidatePairs = sd.Pairs
-		sub.intersectionOps = sd.Pairs
-	}
-
-	// Emit elementary sub-segments, deduplicated, merging the boundary
-	// sources of every input segment that covers each sub-segment (collinear
-	// overlaps make one sub-segment belong to several input segments).
+// emit splits each input segment i at its endpoints and at splits[i] (its
+// intersections with other segments and the isolated points on it).  It
+// emits each elementary sub-segment once, merging the boundary sources of
+// every input segment that covers it (collinear overlaps make one
+// sub-segment belong to several input segments), and registers the
+// isolated points as vertices.
+func (sub *subdivision) emit(keys []string, splits [][]geom.Point, isoPts []geom.Point) {
+	src := sub.src
 	sub.segIndex = make(map[[2]int]int)
-	sub.inputSplits = make([][]geom.Point, len(segs))
-	for i := range segs {
-		pts := geom.SortPoints(splitPts[i])
+	sub.inputSplits = make([][]geom.Point, len(sub.inputSegs))
+	for i, s := range sub.inputSegs {
+		pts := geom.SortPoints(append([]geom.Point{s.A, s.B}, splits[i]...))
 		sub.inputSplits[i] = pts
 		rk := src.segRings[keys[i]]
 		lk := src.segLines[keys[i]]
@@ -240,12 +208,9 @@ func subdivide(inst *spatial.Instance, naivePairs bool) *subdivision {
 		sort.Ints(sub.subRings[si])
 		sort.Ints(sub.subLines[si])
 	}
-
-	// Register isolated points as vertices.
 	for _, q := range isoPts {
 		sub.isolatedCandidates = append(sub.isolatedCandidates, sub.vertexID(q))
 	}
-	return sub
 }
 
 // subSegAt returns the index of the sub-segment of (non-vertical) input
@@ -279,25 +244,4 @@ func mergeUnique(dst, add []int) []int {
 		dst = appendUnique(dst, v)
 	}
 	return dst
-}
-
-// naiveCandidatePairs returns every pair of segments whose exact bounding
-// boxes intersect.  It is the quadratic differential-testing reference for
-// the sweep path; the old float-grid candidate finder is gone — its fixed
-// 1e-6 pad over non-monotone float64 approximations of exact rationals could
-// silently drop truly intersecting pairs (see TestGridPairFinderMissedPair).
-func naiveCandidatePairs(segs []geom.Segment) [][2]int {
-	var out [][2]int
-	boxes := make([]geom.Box, len(segs))
-	for i, s := range segs {
-		boxes[i] = s.Box()
-	}
-	for i := 0; i < len(segs); i++ {
-		for j := i + 1; j < len(segs); j++ {
-			if boxes[i].Intersects(boxes[j]) {
-				out = append(out, [2]int{i, j})
-			}
-		}
-	}
-	return out
 }

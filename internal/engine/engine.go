@@ -131,7 +131,8 @@ type Engine struct {
 	// geometry on every cache lookup.  Instances handed to the engine must
 	// not be mutated afterwards (the engine's whole premise — content
 	// addressing — assumes immutable content).  The memo is reset when it
-	// outgrows its bound so it cannot pin arbitrarily many instances.
+	// reaches four times the invariant cache's enforced capacity, so it
+	// cannot pin arbitrarily many instances.
 	keyMu   sync.Mutex
 	keyMemo map[*spatial.Instance]string
 }
@@ -212,7 +213,7 @@ func (e *Engine) key(inst *spatial.Instance) (string, error) {
 		return "", err
 	}
 	e.keyMu.Lock()
-	if len(e.keyMemo) >= 4*e.capacity {
+	if len(e.keyMemo) >= 4*e.invariants.Capacity() {
 		e.keyMemo = make(map[*spatial.Instance]string)
 	}
 	e.keyMemo[inst] = k

@@ -27,6 +27,25 @@ func nonEmpty(name string) pointfo.PointFormula {
 	return pointfo.PExists{Vars: []string{"u"}, Body: pointfo.In{Region: name, Var: "u"}}
 }
 
+// TestKeyMemoUsesEnforcedCapacity: the pointer→key memo is bounded by the
+// invariant cache's enforced capacity, so a requested capacity below 1
+// (treated as 1) still memoizes a second instance instead of emptying the
+// memo before every insert.
+func TestKeyMemoUsesEnforcedCapacity(t *testing.T) {
+	a, b := nested(t, 2), nested(t, 3)
+	for _, capacity := range []int{-3, 0, 1} {
+		e := New(WithCacheCapacity(capacity))
+		for _, inst := range []*spatial.Instance{a, b} {
+			if _, err := e.key(inst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(e.keyMemo); n != 2 {
+			t.Errorf("capacity %d: %d of 2 keys memoized, want 2", capacity, n)
+		}
+	}
+}
+
 func TestInvariantCacheHit(t *testing.T) {
 	e := New()
 	inst := nested(t, 3)

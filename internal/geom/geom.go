@@ -598,48 +598,6 @@ func (pg Polygon) InteriorPoint() (Point, bool) {
 	return Point{}, false
 }
 
-// ConvexHull returns the convex hull of the given points in counterclockwise
-// order (Andrew's monotone chain).  Collinear points on the hull boundary are
-// omitted.  It returns fewer than 3 points when the input is degenerate.
-func ConvexHull(pts []Point) []Point {
-	if len(pts) <= 2 {
-		out := make([]Point, len(pts))
-		copy(out, pts)
-		return out
-	}
-	sorted := make([]Point, len(pts))
-	copy(sorted, pts)
-	sort.Slice(sorted, func(i, j int) bool { return CmpXY(sorted[i], sorted[j]) < 0 })
-	// Deduplicate.
-	uniq := sorted[:1]
-	for _, p := range sorted[1:] {
-		if !p.Equal(uniq[len(uniq)-1]) {
-			uniq = append(uniq, p)
-		}
-	}
-	if len(uniq) <= 2 {
-		return uniq
-	}
-	var hull []Point
-	// Lower hull.
-	for _, p := range uniq {
-		for len(hull) >= 2 && Orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := len(uniq) - 2; i >= 0; i-- {
-		p := uniq[i]
-		for len(hull) >= lower && Orientation(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1]
-}
-
 // Polyline is an open chain of straight segments; consecutive points must be
 // distinct.
 type Polyline struct {

@@ -344,53 +344,6 @@ func TestPolygonInteriorPoint(t *testing.T) {
 	}
 }
 
-func TestConvexHull(t *testing.T) {
-	pts := []Point{Pt(0, 0), Pt(4, 0), Pt(4, 4), Pt(0, 4), Pt(2, 2), Pt(1, 1), Pt(2, 0)}
-	hull := ConvexHull(pts)
-	if len(hull) != 4 {
-		t.Fatalf("hull size = %d, want 4 (%v)", len(hull), hull)
-	}
-	hp := Polygon{Vertices: hull}
-	if !hp.IsCCW() {
-		t.Error("hull should be CCW")
-	}
-	for _, p := range pts {
-		if hp.Locate(p) == Outside {
-			t.Errorf("point %v outside its own hull", p)
-		}
-	}
-	// Degenerate inputs.
-	if got := ConvexHull([]Point{Pt(1, 1)}); len(got) != 1 {
-		t.Error("single-point hull wrong")
-	}
-	if got := ConvexHull([]Point{Pt(1, 1), Pt(1, 1), Pt(2, 2)}); len(got) != 2 {
-		t.Errorf("collinear/duplicate hull = %v", got)
-	}
-}
-
-func TestConvexHullProperty(t *testing.T) {
-	f := func(coords [8]int8) bool {
-		pts := make([]Point, 0, 4)
-		for i := 0; i < 8; i += 2 {
-			pts = append(pts, Pt(int64(coords[i]), int64(coords[i+1])))
-		}
-		hull := ConvexHull(pts)
-		if len(hull) < 3 {
-			return true
-		}
-		hp := Polygon{Vertices: hull}
-		for _, p := range pts {
-			if hp.Locate(p) == Outside {
-				return false
-			}
-		}
-		return hp.IsSimple()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPolyline(t *testing.T) {
 	if _, err := NewPolyline([]Point{Pt(0, 0)}); err == nil {
 		t.Error("single-point polyline accepted")

@@ -115,8 +115,8 @@ type Invariant struct {
 
 // Compute builds the topological invariant of the instance by constructing
 // its maximum topological cell decomposition and forgetting the geometry.
-func Compute(inst *spatial.Instance, opts ...arrangement.Option) (*Invariant, error) {
-	cx, err := arrangement.Build(inst, opts...)
+func Compute(inst *spatial.Instance) (*Invariant, error) {
+	cx, err := arrangement.Build(inst)
 	if err != nil {
 		return nil, fmt.Errorf("invariant: %w", err)
 	}

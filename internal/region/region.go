@@ -6,8 +6,8 @@
 // instance is topologically equivalent to a *linear* one, so this library
 // represents regions semi-linearly: a region is a finite union of features,
 // each of dimension 0 (a point), 1 (a polyline) or 2 (a simple polygon,
-// possibly with polygonal holes).  This preserves all topological content
-// (see DESIGN.md, substitutions table).
+// possibly with polygonal holes).  This substitution for the paper's
+// polynomial constraints preserves all topological content.
 package region
 
 import (

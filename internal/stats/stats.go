@@ -79,8 +79,8 @@ func Measure(name string, inst *spatial.Instance, bytesPerPoint, bytesPerCell in
 	return c, nil
 }
 
-// Row renders the compression summary as a table row matching the
-// EXPERIMENTS.md format.
+// Row renders the compression summary as one row of the table that
+// cmd/experiments prints for E1–E3, under Header.
 func (c Compression) Row() string {
 	return fmt.Sprintf("%-14s %8d %10d %12d %8d %12d %10.1f %8.2f %4d",
 		c.Name, c.Features, c.Points, c.RawBytes, c.Cells, c.InvBytes, c.Ratio, c.AvgDegree, c.MaxDegree)

@@ -4,7 +4,7 @@
 // datasets are not available; these generators are parameterised to the
 // published characteristics (polygon counts, points per polygon, number of
 // thematic region classes) so that the compression and degree statistics can
-// be regenerated at any scale (see DESIGN.md, substitutions table).
+// be regenerated at any scale.
 //
 // All generators are deterministic functions of their seed.
 package workload
