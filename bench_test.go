@@ -337,9 +337,10 @@ func BenchmarkCodec(b *testing.B) {
 // quantifier depth over two region names: ∃v0, ∀v1, ∃v2, … with membership
 // atoms per variable and order atoms linking consecutive variables.  The
 // innermost condition demands an interior point that is not in its region,
-// so the sentence is unsatisfiable: evaluation can never stop early on a
-// lucky witness, and the benchmark pins the exhaustive worst case the
-// server's depth cap guards against.
+// so no witness ever reaches it: evaluation cannot stop early on a lucky
+// innermost witness, and the benchmark pins the exhaustive worst case the
+// server's depth cap guards against.  internal/pointfo's BenchmarkEvalDepth
+// builds the same sentences.
 func depthQuery(a, c string, depth int) topoinv.Query {
 	var rest func(i int) pointfo.PointFormula
 	rest = func(i int) pointfo.PointFormula {
@@ -370,61 +371,6 @@ func depthQuery(a, c string, depth int) topoinv.Query {
 		return pointfo.PForall{Vars: []string{v}, Body: pointfo.PImplies{L: pointfo.PAnd{Fs: atoms}, R: rest(i + 1)}}
 	}
 	return rest(0)
-}
-
-// BenchmarkEvalDepth pins the quantifier-depth scaling of sentence
-// evaluation on the E1 and E3 workloads: the compiled bitset evaluator
-// (membership matrix + word-parallel quantifier plans) against the tree-walk
-// reference that re-asks the geometry per atom.  The tree walk is O(n^depth)
-// point tuples with exact-rational containment tests per atom, so it only
-// runs to depth 3; compiled runs the full 1–4 range the server now admits.
-func BenchmarkEvalDepth(b *testing.B) {
-	// Region pairs are picked from classes that actually own parcels at
-	// these scales (e.g. E1 scale 1 spreads 8 parcels over 9 classes, so
-	// some classes are empty and would short-circuit every quantifier).
-	workloads := []struct {
-		name string
-		a, c string
-		mk   func() (*topoinv.Instance, error)
-	}{
-		{"E1", "class07", "class04", func() (*topoinv.Instance, error) { return topoinv.LandUse(topoinv.DefaultLandUse(1)) }},
-		{"E3", "class00", "class01", func() (*topoinv.Instance, error) { return topoinv.Commune(topoinv.DefaultCommune(1)) }},
-	}
-	for _, w := range workloads {
-		inst, err := w.mk()
-		if err != nil {
-			b.Fatal(err)
-		}
-		ev, err := pointfo.NewEvaluator(inst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ce, err := pointfo.CompileEvaluator(inst)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for depth := 1; depth <= 4; depth++ {
-			q := depthQuery(w.a, w.c, depth)
-			b.Run(fmt.Sprintf("%s/depth=%d/compiled", w.name, depth), func(b *testing.B) {
-				b.ReportMetric(float64(ce.SampleSize()), "sample-points")
-				for i := 0; i < b.N; i++ {
-					if _, err := ce.EvalPoint(q, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-			if depth > 3 {
-				continue
-			}
-			b.Run(fmt.Sprintf("%s/depth=%d/tree", w.name, depth), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := ev.EvalPoint(q, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkDirectAskCachedEvaluator measures Direct asks through the engine

@@ -550,8 +550,8 @@ type askResponse struct {
 // and depth 6 evaluates in the time geometry-priced depth 4 used to.
 // Unbounded depth is still an easy CPU DoS on an open endpoint (the
 // sample^(depth-1) factor survives for adversarial alternations), hence a
-// cap; the legacy aliases all have depth 1.  The CLI (topoinv ask) applies
-// no such cap.
+// cap; the legacy aliases all have depth 1.  The CLI (topoinv ask) and the
+// library accept depth up to 64, the compiler's variable-slot limit.
 const maxQuantifierDepth = 6
 
 // buildQuery resolves a request's query: an explicit formula in the textual

@@ -290,7 +290,7 @@ func fillDegreeStats(cx *Complex) {
 	}
 }
 
-// SortedRegionNames returns the schema's region names in schema order.
+// SortedRegionNames returns the schema's region names in sorted order.
 func (c *Complex) SortedRegionNames() []string {
 	names := c.Schema.Names()
 	sort.Strings(names)

@@ -126,15 +126,14 @@ func (db *Database) compiledFor(inst *spatial.Instance) (*pointfo.CompiledEvalua
 	return pointfo.CompileEvaluator(inst)
 }
 
-// evalSentence answers q on an instance with the compiled bitset engine
-// (tree-walk fallback outside the compiled fragment), going through the
-// evaluator source when one is set.
+// evalSentence answers q on an instance with the compiled bitset evaluator,
+// going through the evaluator source when one is set.
 func (db *Database) evalSentence(inst *spatial.Instance, q pointfo.PointFormula) (bool, error) {
 	ce, err := db.compiledFor(inst)
 	if err != nil {
 		return false, err
 	}
-	return pointfo.EvalSentence(inst, ce, q)
+	return ce.EvalPoint(q)
 }
 
 func (db *Database) evaluator() (*pointfo.CompiledEvaluator, error) {
@@ -175,7 +174,7 @@ func (db *Database) Ask(q pointfo.PointFormula, s Strategy) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		return pointfo.EvalSentence(db.inst, ce, q)
+		return ce.EvalPoint(q)
 	case ViaInvariantFO:
 		if db.inst.Schema().Size() != 1 {
 			return false, fmt.Errorf("core: the FO-on-invariant strategy requires a single-region schema (Theorem 4.9); this schema has %d regions", db.inst.Schema().Size())

@@ -297,8 +297,8 @@ func TestDirectStrategySkipsCache(t *testing.T) {
 }
 
 // TestEvaluationPanicBecomesError checks that a query referencing an unknown
-// region (which panics deep in the evaluator) surfaces as a per-request error
-// instead of killing the Batch worker — and with it the whole process.
+// region surfaces as a per-request error — the compiler rejects it — while
+// the Batch worker goes on to answer the valid request beside it.
 func TestEvaluationPanicBecomesError(t *testing.T) {
 	e := New()
 	inst := nested(t, 2)

@@ -115,6 +115,3 @@ func (e *Engine) SimEntry(inst *spatial.Instance) (simindex.Entry, bool) {
 	}
 	return e.sim.Get(key)
 }
-
-// SimIndex exposes the underlying index (benchmarks and tests).
-func (e *Engine) SimIndex() *simindex.Index { return e.sim }

@@ -545,59 +545,6 @@ func (pg Polygon) Locate(p Point) PointLocation {
 // Contains reports whether p is inside or on the boundary of the polygon.
 func (pg Polygon) Contains(p Point) bool { return pg.Locate(p) != Outside }
 
-// Centroid returns the arithmetic mean of the polygon's vertices (a cheap
-// interior witness for convex polygons; callers needing a guaranteed interior
-// point of a non-convex polygon should use InteriorPoint).
-func (pg Polygon) Centroid() Point {
-	sx, sy := rat.Zero, rat.Zero
-	for _, v := range pg.Vertices {
-		sx = sx.Add(v.X)
-		sy = sy.Add(v.Y)
-	}
-	n := rat.FromInt(int64(len(pg.Vertices)))
-	return Point{sx.Div(n), sy.Div(n)}
-}
-
-// InteriorPoint returns a point strictly inside a simple polygon.
-// It scans horizontal lines through midpoints between distinct vertex
-// y-coordinates and returns the midpoint of an interior span.
-func (pg Polygon) InteriorPoint() (Point, bool) {
-	ys := uniqueSorted(ratValues(pg.Vertices, func(p Point) rat.R { return p.Y }))
-	candidates := make([]rat.R, 0, len(ys)+1)
-	for i := 0; i+1 < len(ys); i++ {
-		candidates = append(candidates, rat.Mid(ys[i], ys[i+1]))
-	}
-	if len(ys) == 1 {
-		candidates = append(candidates, ys[0])
-	}
-	for _, y := range candidates {
-		// Collect x coordinates of boundary crossings at height y.
-		xs := []rat.R{}
-		for _, e := range pg.Edges() {
-			a, b := e.A, e.B
-			if a.Y.Equal(b.Y) {
-				continue
-			}
-			lo, hi := rat.Min(a.Y, b.Y), rat.Max(a.Y, b.Y)
-			if lo.Less(y) && y.Less(hi) {
-				t := y.Sub(a.Y).Div(b.Y.Sub(a.Y))
-				xs = append(xs, a.X.Add(t.Mul(b.X.Sub(a.X))))
-			}
-		}
-		if len(xs) < 2 {
-			continue
-		}
-		xs = uniqueSorted(xs)
-		for i := 0; i+1 < len(xs); i++ {
-			cand := Point{rat.Mid(xs[i], xs[i+1]), y}
-			if pg.Locate(cand) == Inside {
-				return cand, true
-			}
-		}
-	}
-	return Point{}, false
-}
-
 // Polyline is an open chain of straight segments; consecutive points must be
 // distinct.
 type Polyline struct {
@@ -641,25 +588,6 @@ func (pl Polyline) Segments() []Segment {
 func (pl Polyline) Box() Box { return BoxAround(pl.Points...) }
 
 // --- helpers ---------------------------------------------------------------
-
-func ratValues(pts []Point, f func(Point) rat.R) []rat.R {
-	out := make([]rat.R, len(pts))
-	for i, p := range pts {
-		out[i] = f(p)
-	}
-	return out
-}
-
-func uniqueSorted(vals []rat.R) []rat.R {
-	sort.Slice(vals, func(i, j int) bool { return vals[i].Less(vals[j]) })
-	out := vals[:0]
-	for _, v := range vals {
-		if len(out) == 0 || !out[len(out)-1].Equal(v) {
-			out = append(out, v)
-		}
-	}
-	return out
-}
 
 // SortPoints sorts points lexicographically by (X, Y) in place and removes
 // duplicates, returning the deduplicated slice.

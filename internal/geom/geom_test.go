@@ -326,24 +326,6 @@ func TestPolygonLocate(t *testing.T) {
 	}
 }
 
-func TestPolygonInteriorPoint(t *testing.T) {
-	polys := []Polygon{
-		Rect(0, 0, 4, 4),
-		MustPolygon(Pt(0, 0), Pt(4, 0), Pt(4, 2), Pt(2, 2), Pt(2, 4), Pt(0, 4)),
-		MustPolygon(Pt(0, 0), Pt(10, 0), Pt(5, 1)), // thin triangle
-	}
-	for i, pg := range polys {
-		p, ok := pg.InteriorPoint()
-		if !ok {
-			t.Errorf("polygon %d: no interior point found", i)
-			continue
-		}
-		if pg.Locate(p) != Inside {
-			t.Errorf("polygon %d: InteriorPoint %v not strictly inside", i, p)
-		}
-	}
-}
-
 func TestPolyline(t *testing.T) {
 	if _, err := NewPolyline([]Point{Pt(0, 0)}); err == nil {
 		t.Error("single-point polyline accepted")

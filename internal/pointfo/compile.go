@@ -1,13 +1,14 @@
 // Compiled evaluation of FO(P,<x,<y) over the representative sample.
 //
-// The tree-walk Evaluator pays geometry on every atom: each In/InInterior
-// leaf re-runs an exact-rational point-in-region test even though every
-// sample point is a cell representative whose sign class the arrangement
-// already computed.  The CompiledEvaluator instead works entirely on the
-// membership matrix carried by the Sample: an atom is one bit test, a
-// quantifier-free subformula with one free variable is a word-parallel
-// bitset expression over the whole sample, and an innermost quantifier
-// collapses to a single any-bit test.
+// Every sentence is decided on the finite cell sample: one witness per cell
+// of the maximal topological decomposition, plus exterior witnesses.  The
+// CompiledEvaluator works entirely on the membership matrix carried by the
+// Sample: an atom is one bit test, a quantifier-free subformula with one
+// free variable is a word-parallel bitset expression over the whole sample,
+// and an innermost quantifier collapses to a single any-bit test.  No
+// point-in-region geometry is asked once the sample exists; the tree walk
+// that re-asks it per atom lives only in this package's tests, as the
+// reference the compiled evaluator is checked against.
 //
 // A formula is compiled per call (a cheap AST walk — the expensive state,
 // sample + matrix + coordinate ranks, lives in the CompiledEvaluator and is
@@ -16,9 +17,11 @@
 //  1. negation normal form: ¬ is pushed to the atoms, → becomes ¬L ∨ R, and
 //     ∀x̄.φ becomes ¬∃x̄.¬φ, so every quantifier block is existential and
 //     every connective is ∧/∨ — the shapes bitset algebra handles directly;
-//  2. variables become integer slots (at most 64, so free-variable sets are
-//     single-word masks); <x/<y atoms compare precomputed coordinate ranks,
-//     which order exactly like the exact rationals they replace;
+//  2. variables become integer slots numbered by binding depth, so sibling
+//     quantifier blocks share slots and the 64-slot cap (free-variable sets
+//     are single-word masks) limits only nesting; <x/<y atoms compare
+//     precomputed coordinate ranks, which order exactly like the exact
+//     rationals they replace;
 //  3. each ∃ block gets a quantifier plan: conjuncts that mention no block
 //     variable are hoisted out of the loops, single-variable quantifier-free
 //     conjuncts are pre-folded into a static restriction column whose
@@ -28,16 +31,14 @@
 //     are evaluated per candidate.  If the innermost level has no such
 //     residual conjunct the whole level is an any-bit test.
 //
-// Anything outside this fragment — more than 64 variable slots, a region
-// not in the schema, an environment binding off the sample — fails
-// compilation with ErrUnsupported and the caller falls back to the
-// tree-walk evaluator, which also keeps the lazy error semantics of the
-// tree walk intact.  The CompiledEvaluator holds no *spatial.Instance at
-// all, so the compiled hot path structurally cannot reach geometry.
+// A formula that is not a sentence over the sample's schema — a free
+// variable, a region the schema lacks, quantifiers nested more than 64 deep
+// — fails compilation with an error.  The CompiledEvaluator holds no
+// *spatial.Instance at all, so evaluation structurally cannot reach
+// geometry.
 package pointfo
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -47,13 +48,8 @@ import (
 	"repro/internal/spatial"
 )
 
-// ErrUnsupported reports a formula (or environment) outside the compiled
-// fragment; callers should fall back to the tree-walk Evaluator, which
-// reproduces the reference semantics including lazy error reporting.
-var ErrUnsupported = errors.New("pointfo: outside the compiled fragment")
-
-// maxVarSlots caps distinct variable slots so free-variable sets fit one
-// 64-bit mask.  Formulas beyond the cap take the tree-walk fallback.
+// maxVarSlots caps the binding depth so free-variable sets fit one 64-bit
+// mask.  Slots are numbered by depth, so the cap limits nesting only.
 const maxVarSlots = 64
 
 // CompiledEvaluator evaluates point-language formulas with bitset algebra
@@ -67,8 +63,7 @@ type CompiledEvaluator struct {
 	// distinct x (resp. y) coordinates; equal coordinates share a rank, so
 	// integer comparison agrees exactly with rat comparison.
 	xRank, yRank []int
-	index        map[string]int // point key -> sample index
-	pool         sync.Pool      // scratch bitsets, ce.words wide
+	pool         sync.Pool // scratch bitsets, ce.words wide
 }
 
 // CompileEvaluator builds the sample (one arrangement construction) and
@@ -81,8 +76,8 @@ func CompileEvaluator(inst *spatial.Instance) (*CompiledEvaluator, error) {
 	return CompileFromSample(s), nil
 }
 
-// CompileFromSample derives the compiled evaluator state (coordinate ranks,
-// point index) from an existing sample without touching geometry again.
+// CompileFromSample derives the compiled evaluator state (coordinate ranks)
+// from an existing sample without touching geometry again.
 func CompileFromSample(s *Sample) *CompiledEvaluator {
 	n := len(s.Points)
 	ce := &CompiledEvaluator{
@@ -91,10 +86,6 @@ func CompileFromSample(s *Sample) *CompiledEvaluator {
 		words:  bitsetWords(n),
 		xRank:  coordRanks(s.Points, func(p geom.Point) rat.R { return p.X }),
 		yRank:  coordRanks(s.Points, func(p geom.Point) rat.R { return p.Y }),
-		index:  make(map[string]int, n),
-	}
-	for i, p := range s.Points {
-		ce.index[p.Key()] = i
 	}
 	ce.pool.New = func() any { return make(bitset, ce.words) }
 	return ce
@@ -103,23 +94,12 @@ func CompileFromSample(s *Sample) *CompiledEvaluator {
 // Sample returns the underlying representative sample.
 func (ce *CompiledEvaluator) Sample() *Sample { return ce.sample }
 
-// EvalSentence evaluates the sentence q on ce, falling back to the
-// tree-walk evaluator over inst (reusing ce's sample, so no second
-// arrangement build) when the formula is outside the compiled fragment.
-// This is the evaluation entry point core and translate use.
+// EvalSentence evaluates the sentence q on ce, exactly as ce.EvalPoint(q).
+// inst is unused: the signature stays because perfbench's traced replay
+// calls it.
 func EvalSentence(inst *spatial.Instance, ce *CompiledEvaluator, q PointFormula) (bool, error) {
-	ok, err := ce.EvalPoint(q, nil)
-	if err == nil {
-		return ok, nil
-	}
-	if !errors.Is(err, ErrUnsupported) {
-		return false, err
-	}
-	return NewEvaluatorWith(inst, ce.sample).EvalPoint(q, nil)
+	return ce.EvalPoint(q)
 }
-
-// SampleSize returns the number of representative points used.
-func (ce *CompiledEvaluator) SampleSize() int { return ce.n }
 
 // coordRanks maps each point to the rank of its coordinate among the
 // distinct coordinate values, ties sharing a rank.
@@ -140,33 +120,19 @@ func coordRanks(pts []geom.Point, coord func(geom.Point) rat.R) []int {
 	return ranks
 }
 
-// EvalPoint compiles and evaluates the formula.  Environment bindings must
-// be sample representatives (production callers evaluate sentences with a
-// nil environment); anything the compiler cannot handle returns an error
-// wrapping ErrUnsupported so the caller can fall back to the tree walk.
-func (ce *CompiledEvaluator) EvalPoint(f PointFormula, env map[string]geom.Point) (bool, error) {
+// EvalPoint compiles and evaluates the sentence f.  A formula that does not
+// compile — a free variable, a region outside the sample's schema,
+// quantifiers nested more than 64 deep — returns an error.
+func (ce *CompiledEvaluator) EvalPoint(f PointFormula) (bool, error) {
 	c := &compiler{ce: ce, scope: map[string][]int{}}
 	root, err := c.compile(f, false)
 	if err != nil {
-		mCompileFallbacks.Inc()
+		mCompileRejects.Inc()
 		return false, err
 	}
 	binding := make([]int, c.nslots)
 	for i := range binding {
 		binding[i] = -1
-	}
-	for _, fv := range c.free {
-		p, ok := env[fv.name]
-		if !ok {
-			mCompileFallbacks.Inc()
-			return false, fmt.Errorf("%w: unbound point variable %q", ErrUnsupported, fv.name)
-		}
-		i, ok := ce.index[p.Key()]
-		if !ok {
-			mCompileFallbacks.Inc()
-			return false, fmt.Errorf("%w: environment point %s is not a sample representative", ErrUnsupported, p.Key())
-		}
-		binding[fv.slot] = i
 	}
 	mPlans.Add(uint64(c.plans))
 	mPlanHoisted.Add(uint64(c.hoisted))
@@ -252,7 +218,7 @@ type quantPlan struct {
 
 type planLevel struct {
 	slot int
-	// static is the AND of the env-independent single-variable
+	// static is the AND of the binding-independent single-variable
 	// quantifier-free conjuncts on this slot (nil when unrestricted); its
 	// popcount decided the level order.
 	static bitset
@@ -268,44 +234,22 @@ type planLevel struct {
 
 // --- compiler ----------------------------------------------------------------
 
-type freeVar struct {
-	name string
-	slot int
-}
-
 type compiler struct {
-	ce     *CompiledEvaluator
-	scope  map[string][]int // quantified name -> slot stack (shadowing)
-	free   []freeVar        // environment variables, in first-use order
-	nslots int
+	ce    *CompiledEvaluator
+	scope map[string][]int // quantified name -> slot stack (shadowing)
+	// depth is the number of variables bound around the node being
+	// compiled, which is also the slot the next binding takes; nslots is
+	// its maximum.
+	depth, nslots int
 	// planner decision tallies, flushed to metrics on success.
 	plans, hoisted, collapsed, reordered int
-}
-
-func (c *compiler) newSlot() (int, error) {
-	if c.nslots >= maxVarSlots {
-		return 0, fmt.Errorf("%w: more than %d variable slots", ErrUnsupported, maxVarSlots)
-	}
-	s := c.nslots
-	c.nslots++
-	return s, nil
 }
 
 func (c *compiler) slotFor(name string) (int, error) {
 	if st := c.scope[name]; len(st) > 0 {
 		return st[len(st)-1], nil
 	}
-	for _, fv := range c.free {
-		if fv.name == name {
-			return fv.slot, nil
-		}
-	}
-	s, err := c.newSlot()
-	if err != nil {
-		return 0, err
-	}
-	c.free = append(c.free, freeVar{name: name, slot: s})
-	return s, nil
+	return 0, fmt.Errorf("pointfo: unbound point variable %q", name)
 }
 
 // compile lowers f (negated when neg is set) to negation normal form.
@@ -344,14 +288,14 @@ func (c *compiler) compile(f PointFormula, neg bool) (cnode, error) {
 		// ∀x̄.φ = ¬∃x̄.¬φ (and ¬∀x̄.φ = ∃x̄.¬φ).
 		return c.compileExists(g.Vars, g.Body, true, !neg)
 	default:
-		return nil, fmt.Errorf("%w: unknown formula %T", ErrUnsupported, f)
+		return nil, fmt.Errorf("pointfo: unknown formula %T", f)
 	}
 }
 
 func (c *compiler) memberAtom(k atomKind, region, v string, neg bool) (cnode, error) {
 	r := c.ce.sample.regionIndex(region)
 	if r < 0 {
-		return nil, fmt.Errorf("%w: unknown region %q", ErrUnsupported, region)
+		return nil, fmt.Errorf("pointfo: unknown region %q", region)
 	}
 	s, err := c.slotFor(v)
 	if err != nil {
@@ -393,16 +337,20 @@ func (c *compiler) compileExists(vars []string, body PointFormula, bodyNeg, resu
 		// ∃∅.φ = φ; fold the outer negation into the body.
 		return c.compile(body, bodyNeg != resultNeg)
 	}
+	if c.depth+len(vars) > maxVarSlots {
+		return nil, fmt.Errorf("pointfo: quantifiers nested more than %d deep", maxVarSlots)
+	}
+	// Slot i is the i-th binding on the path from the root, so sibling
+	// blocks reuse slots: their bindings are never live at the same time.
 	slots := make([]int, len(vars))
 	for i, v := range vars {
-		s, err := c.newSlot()
-		if err != nil {
-			return nil, err
-		}
-		c.scope[v] = append(c.scope[v], s)
-		slots[i] = s
+		slots[i] = c.depth + i
+		c.scope[v] = append(c.scope[v], slots[i])
 	}
+	c.depth += len(vars)
+	c.nslots = max(c.nslots, c.depth)
 	b, err := c.compile(body, bodyNeg)
+	c.depth -= len(vars)
 	for _, v := range vars {
 		st := c.scope[v]
 		c.scope[v] = st[:len(st)-1]
@@ -432,8 +380,8 @@ func (c *compiler) buildPlan(slots []int, body cnode) *quantPlan {
 	}
 
 	n := c.ce.n
-	// Fold env-independent single-variable quantifier-free conjuncts into a
-	// static restriction column per variable; its popcount is the
+	// Fold binding-independent single-variable quantifier-free conjuncts
+	// into a static restriction column per variable; its popcount is the
 	// selectivity estimate that orders the block.
 	static := make([]bitset, len(slots))
 	used := make([]bool, len(conjs))

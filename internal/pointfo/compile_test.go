@@ -1,10 +1,9 @@
 package pointfo
 
 import (
-	"errors"
+	"fmt"
 	"testing"
 
-	"repro/internal/geom"
 	"repro/internal/region"
 	"repro/internal/spatial"
 )
@@ -34,7 +33,7 @@ func agree(t *testing.T, ev *Evaluator, ce *CompiledEvaluator, f PointFormula) b
 	if err != nil {
 		t.Fatalf("tree EvalPoint(%s): %v", f, err)
 	}
-	got, err := ce.EvalPoint(f, nil)
+	got, err := ce.EvalPoint(f)
 	if err != nil {
 		t.Fatalf("compiled EvalPoint(%s): %v", f, err)
 	}
@@ -106,51 +105,66 @@ func TestCompiledMatchesTreeWalkOnCanonicalQueries(t *testing.T) {
 	}
 }
 
+// TestCompiledEnvBindings checks that only sentences compile: a free
+// variable and a region outside the schema are compile errors, even where
+// the reference would short-circuit past the unknown region.
 func TestCompiledEnvBindings(t *testing.T) {
 	_, ce := compiledOn(t, map[string]region.Region{"P": region.Rect(0, 0, 4, 4)})
-	// A sample representative can be bound through the environment.
-	var inP geom.Point
-	foundP := false
-	s := ce.Sample()
-	for i, p := range s.Points {
-		if s.In[0].has(i) {
-			inP, foundP = p, true
-			break
-		}
+	if _, err := ce.EvalPoint(In{"P", "zz"}); err == nil {
+		t.Fatal("free variable: want an error")
 	}
-	if !foundP {
-		t.Fatal("no sample point in P")
+	if _, err := ce.EvalPoint(PExists{[]string{"u"}, In{"NoSuch", "u"}}); err == nil {
+		t.Fatal("unknown region: want an error")
 	}
-	got, err := ce.EvalPoint(In{"P", "u"}, map[string]geom.Point{"u": inP})
-	if err != nil || !got {
-		t.Fatalf("In(P,u) under binding = %v, %v; want true", got, err)
-	}
-	// Unbound and off-sample environments fall back with ErrUnsupported.
-	if _, err := ce.EvalPoint(In{"P", "zz"}, nil); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("unbound variable: err = %v, want ErrUnsupported", err)
-	}
-	off := map[string]geom.Point{"u": geom.Pt(1000000, 1000000)}
-	if _, err := ce.EvalPoint(In{"P", "u"}, off); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("off-sample point: err = %v, want ErrUnsupported", err)
-	}
-	// Unknown regions are rejected at compile time (the tree walk then
-	// reproduces the lazy reference semantics).
-	if _, err := ce.EvalPoint(In{"NoSuch", "u"}, nil); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("unknown region: err = %v, want ErrUnsupported", err)
+	lazy := POr{[]PointFormula{PAnd{}, PExists{[]string{"u"}, In{"NoSuch", "u"}}}}
+	if _, err := ce.EvalPoint(lazy); err == nil {
+		t.Fatal("unknown region behind a true disjunct: want an error")
 	}
 }
 
+// TestCompiledVarSlotCap checks the 64-slot cap: a block binding 64
+// variables compiles, one binding 65 is an error.
 func TestCompiledVarSlotCap(t *testing.T) {
 	_, ce := compiledOn(t, map[string]region.Region{"P": region.Rect(0, 0, 4, 4)})
-	vars := make([]string, maxVarSlots+1)
-	conj := make([]PointFormula, len(vars))
-	for i := range vars {
-		vars[i] = "v" + string(rune('A'+i%26)) + string(rune('0'+i/26))
-		conj[i] = In{"P", vars[i]}
+	block := func(n int) PointFormula {
+		vars := make([]string, n)
+		conj := make([]PointFormula, n)
+		for i := range vars {
+			vars[i] = fmt.Sprintf("v%d", i)
+			conj[i] = In{"P", vars[i]}
+		}
+		return PExists{vars, PAnd{conj}}
 	}
-	f := PExists{vars, PAnd{conj}}
-	if _, err := ce.EvalPoint(f, nil); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("slot-cap overflow: err = %v, want ErrUnsupported", err)
+	if got, err := ce.EvalPoint(block(maxVarSlots)); err != nil || !got {
+		t.Fatalf("depth %d: got %v, %v; want true", maxVarSlots, got, err)
+	}
+	if _, err := ce.EvalPoint(block(maxVarSlots + 1)); err == nil {
+		t.Fatalf("depth %d: want an error", maxVarSlots+1)
+	}
+}
+
+// TestCompiledSiblingBlocksShareSlots checks that slots are numbered by
+// binding depth: a conjunction of 70 sibling one-variable blocks, and its
+// ∀/∨ dual, are depth 1 and compile, and agree with the reference.
+func TestCompiledSiblingBlocksShareSlots(t *testing.T) {
+	ev, ce := compiledOn(t, map[string]region.Region{
+		"P": region.Rect(0, 0, 4, 4),
+		"Q": region.Rect(2, 2, 6, 6),
+	})
+	const n = 70
+	exists := make([]PointFormula, n)
+	forall := make([]PointFormula, n)
+	for i := range exists {
+		v := fmt.Sprintf("v%d", i)
+		r := []string{"P", "Q"}[i%2]
+		exists[i] = PExists{[]string{v}, In{r, v}}
+		forall[i] = PForall{[]string{v}, PNot{In{r, v}}}
+	}
+	if !agree(t, ev, ce, PAnd{exists}) {
+		t.Error("every sibling block has a witness; the conjunction should hold")
+	}
+	if agree(t, ev, ce, POr{forall}) {
+		t.Error("P and Q are nonempty; no ∀¬in disjunct should hold")
 	}
 }
 
@@ -226,7 +240,7 @@ func TestCompiledConcurrentUse(t *testing.T) {
 		go func() {
 			ok := true
 			for i := 0; i < 50; i++ {
-				got, err := ce.EvalPoint(q, nil)
+				got, err := ce.EvalPoint(q)
 				if err != nil || got != want {
 					ok = false
 				}

@@ -1,22 +1,21 @@
 package pointfo
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/region"
 	"repro/internal/spatial"
+	"repro/internal/workload"
 )
 
 // FuzzCompiledVsTreeEval is the differential oracle for the compiled bitset
 // evaluator: a random sentence of the point language, generated from the
 // fuzzed bytes, is evaluated both by the tree-walk Evaluator (the reference
-// semantics straight off the geometry) and by the CompiledEvaluator
-// (membership matrix + quantifier plans).  The two must agree on every
-// instance.  Formulas the compiler rejects with ErrUnsupported are skipped —
-// EvalSentence falls back to the tree walk for those by construction.
+// semantics straight off the geometry, reference_test.go) and by the
+// CompiledEvaluator (membership matrix + quantifier plans).  Every generated
+// sentence must compile, and the two must agree on every instance.
 func FuzzCompiledVsTreeEval(f *testing.F) {
 	fixtures := evalFixtures(f)
 	seeds := []string{
@@ -35,11 +34,8 @@ func FuzzCompiledVsTreeEval(f *testing.F) {
 		g.regions = fx.regions
 		q := g.formula(3, nil)
 
-		got, err := fx.ce.EvalPoint(q, nil)
+		got, err := fx.ce.EvalPoint(q)
 		if err != nil {
-			if errors.Is(err, ErrUnsupported) {
-				return
-			}
 			t.Fatalf("compiled EvalPoint(%s): %v", q, err)
 		}
 		want, err := fx.ev.EvalPoint(q, nil)
@@ -50,6 +46,86 @@ func FuzzCompiledVsTreeEval(f *testing.F) {
 			t.Fatalf("compiled(%s) = %v, tree-walk = %v", q, got, want)
 		}
 	})
+}
+
+// TestCompiledAndReferenceAgreeOnWorkloads runs the compiled evaluator and
+// the tree-walk reference side by side on every workload generator's
+// scale-1 instance (as `serve` scales them), over the canonical per-region
+// questions, the per-pair questions on the first four regions, and a few
+// depth-3 alternations.
+func TestCompiledAndReferenceAgreeOnWorkloads(t *testing.T) {
+	type inst struct {
+		name string
+		mk   func() (*spatial.Instance, error)
+	}
+	answers := map[bool]int{}
+	for _, w := range []inst{
+		{"landuse", func() (*spatial.Instance, error) { return workload.LandUse(workload.DefaultLandUse(1)) }},
+		{"hydrography", func() (*spatial.Instance, error) { return workload.Hydrography(workload.DefaultHydrography(1)) }},
+		{"commune", func() (*spatial.Instance, error) { return workload.Commune(workload.DefaultCommune(1)) }},
+		{"nested", func() (*spatial.Instance, error) { return workload.NestedRegions(2) }},
+		{"multicomponent", func() (*spatial.Instance, error) { return workload.MultiComponent(3) }},
+	} {
+		t.Run(w.name, func(t *testing.T) {
+			in, err := w.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ev, err := NewEvaluator(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ce := CompileFromSample(ev.sample)
+			regions := ce.Sample().Regions
+			var qs []PointFormula
+			for _, p := range regions {
+				qs = append(qs,
+					PExists{[]string{"u"}, In{p, "u"}},
+					PExists{[]string{"u"}, InInterior{p, "u"}})
+			}
+			pairs := regions[:min(len(regions), 4)]
+			for _, p := range pairs {
+				for _, q := range pairs {
+					if p != q {
+						qs = append(qs, QueryIntersect(p, q), QueryContained(p, q), QueryBoundaryOnlyIntersection(p, q))
+					}
+				}
+			}
+			// The alternations use the first and last nonempty regions, so
+			// their quantifiers do not all stop at an empty membership column.
+			var populated []string
+			for r, name := range regions {
+				if ce.Sample().In[r].any() {
+					populated = append(populated, name)
+				}
+			}
+			qs = append(qs, depthAlternations(populated[0], populated[len(populated)-1])...)
+			for _, q := range qs {
+				answers[agree(t, ev, ce, q)]++
+			}
+		})
+	}
+	if answers[true] == 0 || answers[false] == 0 {
+		t.Errorf("answers %v: want both true and false answers", answers)
+	}
+}
+
+// depthAlternations returns ∃∀∃ and ∀∃∀ sentences over regions a and c,
+// among them the benchmark's exhaustive depthQuery.
+func depthAlternations(a, c string) []PointFormula {
+	return []PointFormula{
+		depthQuery(a, c, 3),
+		// Some point u of a has, for every point v of c, a point right of u
+		// and above v.
+		PExists{[]string{"u"}, PAnd{[]PointFormula{In{a, "u"},
+			PForall{[]string{"v"}, PImplies{In{c, "v"},
+				PExists{[]string{"w"}, PAnd{[]PointFormula{LessX{"u", "w"}, LessY{"v", "w"}}}}}}}}},
+		// Every interior point of a has, to its left, a non-member v of c
+		// with no point of c above v.
+		PForall{[]string{"u"}, PImplies{InInterior{a, "u"},
+			PExists{[]string{"v"}, PAnd{[]PointFormula{LessX{"v", "u"}, PNot{In{c, "v"}},
+				PForall{[]string{"w"}, PImplies{LessY{"v", "w"}, PNot{In{c, "w"}}}}}}}}},
+	}
 }
 
 type evalFixture struct {
@@ -86,6 +162,7 @@ func evalFixtures(f *testing.F) []evalFixture {
 		if err != nil {
 			f.Fatalf("NewEvaluator: %v", err)
 		}
+		ev.memo = map[memoKey]bool{}
 		ce, err := CompileEvaluator(inst)
 		if err != nil {
 			f.Fatalf("CompileEvaluator: %v", err)

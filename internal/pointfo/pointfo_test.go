@@ -125,67 +125,6 @@ func TestOrderAtomsAndErrors(t *testing.T) {
 	}
 }
 
-func TestRealLanguage(t *testing.T) {
-	ev := evalOn(t, map[string]region.Region{
-		"P": region.Rect(0, 0, 4, 4),
-		"Q": region.Rect(2, 2, 6, 6),
-	})
-	// ∃x∃y (P(x,y) ∧ Q(x,y)): the regions intersect.
-	intersect := RExists{[]string{"x", "y"}, RAnd{[]RealFormula{RIn{"P", "x", "y"}, RIn{"Q", "x", "y"}}}}
-	if r, err := ev.EvalReal(intersect, nil); err != nil || !r {
-		t.Errorf("real-language intersection failed: %v %v", r, err)
-	}
-	// ∀x∀y (P(x,y) → Q(x,y)): containment, false here.
-	contained := RForall{[]string{"x", "y"}, RImplies{RIn{"P", "x", "y"}, RIn{"Q", "x", "y"}}}
-	if r, _ := ev.EvalReal(contained, nil); r {
-		t.Error("P ⊆ Q should fail")
-	}
-	// The diagonal query ∃x P(x,x) — expressible in FO(R,<) but not in the
-	// point language — evaluates on the sample.
-	diag := RExists{[]string{"x"}, RIn{"P", "x", "x"}}
-	if r, _ := ev.EvalReal(diag, nil); !r {
-		t.Error("diagonal intersects P")
-	}
-	// Order and equality atoms.
-	ordered := RExists{[]string{"x", "y"}, RAnd{[]RealFormula{RLess{"x", "y"}, RNot{REq{"x", "y"}}}}}
-	if r, _ := ev.EvalReal(ordered, nil); !r {
-		t.Error("there exist two ordered reals in the sample")
-	}
-	if RealQuantifierDepth(intersect) != 2 {
-		t.Errorf("RealQuantifierDepth = %d, want 2", RealQuantifierDepth(intersect))
-	}
-	if intersect.String() == "" || contained.String() == "" {
-		t.Error("String rendering empty")
-	}
-	if _, err := ev.EvalReal(RIn{"NoSuch", "x", "y"}, nil); err == nil {
-		t.Error("unknown region should error")
-	}
-}
-
-func TestPointAndRealAgreeOnTopologicalQueries(t *testing.T) {
-	// The same topological property written in both languages agrees, on
-	// several instances (the collapse of PSV99 reproduced operationally).
-	instances := []map[string]region.Region{
-		{"P": region.Rect(0, 0, 4, 4), "Q": region.Rect(2, 2, 6, 6)},
-		{"P": region.Rect(0, 0, 4, 4), "Q": region.Rect(10, 10, 14, 14)},
-		{"P": region.Rect(0, 0, 10, 10), "Q": region.Rect(3, 3, 6, 6)},
-		{"P": region.Annulus(0, 0, 10, 10, 3), "Q": region.Rect(4, 4, 6, 6)},
-	}
-	pq := QueryIntersect("P", "Q")
-	rq := RExists{[]string{"x", "y"}, RAnd{[]RealFormula{RIn{"P", "x", "y"}, RIn{"Q", "x", "y"}}}}
-	for i, regs := range instances {
-		ev := evalOn(t, regs)
-		a := mustPoint(t, ev, pq)
-		b, err := ev.EvalReal(rq, nil)
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		if a != b {
-			t.Errorf("instance %d: point language %v, real language %v", i, a, b)
-		}
-	}
-}
-
 func TestQuantifierDepthAndSizeVariants(t *testing.T) {
 	f := PForall{[]string{"u"}, PImplies{
 		POr{[]PointFormula{In{"P", "u"}, PNot{In{"Q", "u"}}}},
@@ -200,10 +139,6 @@ func TestQuantifierDepthAndSizeVariants(t *testing.T) {
 	if f.String() == "" {
 		t.Error("String empty")
 	}
-	g := RForall{[]string{"x"}, ROr{[]RealFormula{RNot{RIn{"P", "x", "x"}}, RImplies{REq{"x", "x"}, RLess{"x", "x"}}}}}
-	if RealQuantifierDepth(g) != 1 {
-		t.Errorf("RealQuantifierDepth = %d, want 1", RealQuantifierDepth(g))
-	}
 }
 
 func TestEmptyInstanceSample(t *testing.T) {
@@ -217,8 +152,5 @@ func TestEmptyInstanceSample(t *testing.T) {
 	}
 	if r, _ := ev.EvalPoint(PExists{[]string{"u"}, In{"P", "u"}}, nil); r {
 		t.Error("empty region should have no members")
-	}
-	if r, _ := ev.EvalReal(RExists{[]string{"x", "y"}, RIn{"P", "x", "y"}}, nil); r {
-		t.Error("empty region should have no members (real language)")
 	}
 }

@@ -573,14 +573,14 @@ func ToFixpointQuery(q pointfo.PointFormula, connectedRegions bool) *FixpointQue
 // those evaluations hit the cache instead of rebuilding arrangements.
 type SentenceEvaluator func(inst *spatial.Instance, q pointfo.PointFormula) (bool, error)
 
-// defaultEval compiles the instance once and evaluates with the bitset
-// engine, falling back to the tree walk outside the compiled fragment.
+// defaultEval compiles the instance once and evaluates with the compiled
+// bitset evaluator.
 func defaultEval(inst *spatial.Instance, q pointfo.PointFormula) (bool, error) {
 	ce, err := pointfo.CompileEvaluator(inst)
 	if err != nil {
 		return false, err
 	}
-	return pointfo.EvalSentence(inst, ce, q)
+	return ce.EvalPoint(q)
 }
 
 // EvaluateOnInvariant answers the translated query on a topological

@@ -181,11 +181,7 @@ func TestToFixpointQuery(t *testing.T) {
 	} {
 		names := []string{"P", "Q"}
 		inst := spatial.MustBuild(spatial.MustSchema(names...), regs)
-		ev, err := pointfo.NewEvaluator(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		direct, err := ev.EvalPoint(q, nil)
+		direct, err := defaultEval(inst, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,11 +211,7 @@ func TestToFOQuerySingleRegion(t *testing.T) {
 		fo := ToFOQuery("P", q)
 		for i, regs := range instances {
 			inst := spatial.MustBuild(spatial.MustSchema("P"), regs)
-			ev, err := pointfo.NewEvaluator(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			direct, err := ev.EvalPoint(q, nil)
+			direct, err := defaultEval(inst, q)
 			if err != nil {
 				t.Fatal(err)
 			}
