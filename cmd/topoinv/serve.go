@@ -21,13 +21,15 @@
 //	                            names are expanded to formula text and
 //	                            parsed, so both spellings share one
 //	                            evaluation path and one answer-cache entry.
+//	                            Without "strategy" the ask runs auto.
 //	                            The response carries the canonical form.
 //	                            With ?debug=timings the response also carries
 //	                            a per-stage "timings" span tree (answer
 //	                            cache, invariant fetch, evaluation).
 //	POST /v1/batch              many queries over the worker pool:
-//	                            {"strategy":"fixpoint","requests":[{…},…]};
-//	                            each request may carry its own "strategy"
+//	                            {"strategy":"fixpoint","requests":[{…},…]}
+//	                            (auto when "strategy" is absent); each
+//	                            request may carry its own "strategy"
 //	                            override and "formula" or legacy name.  With
 //	                            Accept: application/x-ndjson the response
 //	                            streams one JSON line per result as workers
@@ -403,7 +405,7 @@ func (s *server) handleLoad(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, "%v", err)
 		return
 	}
-	id, err := topoinv.InstanceKey(inst)
+	id, err := s.engine.Key(inst)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -600,7 +602,7 @@ func buildQuery(req askRequest, inst *topoinv.Instance) (topoinv.Query, error) {
 
 func parseStrategy(name string) (topoinv.Strategy, error) {
 	if name == "" {
-		return topoinv.ViaInvariantFixpoint, nil
+		return topoinv.Auto, nil
 	}
 	s, ok := strategies[name]
 	if !ok {

@@ -70,7 +70,7 @@ func (s *server) respondSimilar(w http.ResponseWriter, r *http.Request, inst *to
 		httpError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	id, err := topoinv.InstanceKey(inst)
+	id, err := s.engine.Key(inst)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return

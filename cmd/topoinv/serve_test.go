@@ -348,6 +348,31 @@ func TestServeAutoStrategy(t *testing.T) {
 	}
 }
 
+// TestServeDefaultStrategyIsAuto: an ask or batch without "strategy" runs
+// auto, so a land-use map (which fixpoint rejects) is answered directly.
+func TestServeDefaultStrategyIsAuto(t *testing.T) {
+	ts := testServer(t)
+	var loaded loadResponse
+	if resp := postJSON(t, ts.URL+"/v1/instances", loadRequest{Workload: "landuse", Scale: 1}, &loaded); resp.StatusCode != http.StatusOK {
+		t.Fatalf("load landuse: status %d", resp.StatusCode)
+	}
+	var ans askResponse
+	if resp := postJSON(t, ts.URL+"/v1/ask", askRequest{ID: loaded.ID, Query: "nonempty", Regions: []string{"class02"}}, &ans); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ask without strategy: status %d, want 200", resp.StatusCode)
+	}
+	if ans.Strategy != "direct" || !ans.Answer {
+		t.Errorf("ask without strategy: %+v, want strategy direct and answer true", ans)
+	}
+	var batch []batchItemResponse
+	breq := batchRequest{Requests: []askRequest{{ID: loaded.ID, Query: "nonempty", Regions: []string{"class02"}}}}
+	if resp := postJSON(t, ts.URL+"/v1/batch", breq, &batch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch without strategy: status %d", resp.StatusCode)
+	}
+	if len(batch) != 1 || batch[0].Error != "" || batch[0].Strategy != "direct" {
+		t.Errorf("batch without strategy: %+v, want one direct result", batch)
+	}
+}
+
 // TestServeFormula: an arbitrary user-written sentence is answerable over
 // /v1/ask, the response carries the canonical form, a repeated identical ask
 // is served from the answer cache, and the hit shows up in /v1/stats.

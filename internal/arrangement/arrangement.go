@@ -205,12 +205,6 @@ type Stats struct {
 	AvgLinesPerPoint float64
 }
 
-// CellCount returns the total number of cells (vertices + edges + faces),
-// the paper's unit for invariant size.
-func (c *Complex) CellCount() int {
-	return len(c.Vertices) + len(c.Edges) + len(c.Faces)
-}
-
 // Cell returns sign information for an arbitrary cell reference.
 func (c *Complex) Cell(ref CellRef) (map[string]Sign, error) {
 	switch ref.Kind {

@@ -488,9 +488,6 @@ func TestStatsPopulated(t *testing.T) {
 	if st.AvgLinesPerPoint <= 0 {
 		t.Errorf("avg lines per point = %f", st.AvgLinesPerPoint)
 	}
-	if cx.CellCount() != len(cx.Vertices)+len(cx.Edges)+len(cx.Faces) {
-		t.Error("CellCount inconsistent")
-	}
 }
 
 func TestFaceEdgeConsistency(t *testing.T) {

@@ -204,9 +204,6 @@ func NewClassifier(r int) *Classifier {
 	return &Classifier{r: r, index: ef.NewTypeIndex(r), memo: map[string]int{}}
 }
 
-// Rank returns the classifier's quantifier rank.
-func (cl *Classifier) Rank() int { return cl.r }
-
 // TypeOf returns the type ID of a cycle.
 func (cl *Classifier) TypeOf(c Cycle) int {
 	key := c.String()

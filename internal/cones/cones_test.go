@@ -103,9 +103,6 @@ func TestCycleEquivalenceAndClassifier(t *testing.T) {
 		t.Error("cycles with different colour counts should differ")
 	}
 	cl := NewClassifier(2)
-	if cl.Rank() != 2 {
-		t.Error("Rank wrong")
-	}
 	if cl.TypeOf(a) != cl.TypeOf(b) {
 		t.Error("classifier separated equivalent cycles")
 	}

@@ -70,9 +70,6 @@ func TestAskMultiRegion(t *testing.T) {
 	if _, err := db.Ask(q, ViaInvariantFO); err == nil {
 		t.Error("FO strategy should reject multi-region schemas")
 	}
-	if db.Instance() != inst {
-		t.Error("Instance accessor wrong")
-	}
 	if inv, err := db.Invariant(); err != nil || inv == nil {
 		t.Error("Invariant accessor wrong")
 	}

@@ -234,9 +234,6 @@ type TypeIndex struct {
 // NewTypeIndex creates an index for FOr-equivalence.
 func NewTypeIndex(r int) *TypeIndex { return &TypeIndex{r: r} }
 
-// Rank returns the quantifier depth r of the index.
-func (ti *TypeIndex) Rank() int { return ti.r }
-
 // Count returns the number of distinct types seen so far.
 func (ti *TypeIndex) Count() int { return len(ti.reps) }
 
@@ -250,11 +247,6 @@ func (ti *TypeIndex) Classify(s *relational.Structure) int {
 	}
 	ti.reps = append(ti.reps, s.Clone())
 	return len(ti.reps) - 1
-}
-
-// Representative returns the stored representative of a type ID.
-func (ti *TypeIndex) Representative(id int) *relational.Structure {
-	return ti.reps[id]
 }
 
 // Multiset summarises a multiset of type IDs with multiplicities truncated at

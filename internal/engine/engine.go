@@ -199,9 +199,10 @@ func (e *Engine) Invariant(inst *spatial.Instance) (*invariant.Invariant, error)
 	return inv, err
 }
 
-// key returns the memoized content address of the instance, computing and
-// caching it on first use.
-func (e *Engine) key(inst *spatial.Instance) (string, error) {
+// Key returns the instance's content address (InstanceKey), memoized per
+// instance pointer: it is computed on first use and served from the memo
+// afterwards.
+func (e *Engine) Key(inst *spatial.Instance) (string, error) {
 	e.keyMu.Lock()
 	k, ok := e.keyMemo[inst]
 	e.keyMu.Unlock()
@@ -225,7 +226,7 @@ func (e *Engine) key(inst *spatial.Instance) (string, error) {
 // computing anything; ok is false on a memory-cache miss (the disk store is
 // not consulted).
 func (e *Engine) CachedInvariant(inst *spatial.Instance) (*invariant.Invariant, bool) {
-	key, err := e.key(inst)
+	key, err := e.Key(inst)
 	if err != nil {
 		return nil, false
 	}
@@ -236,7 +237,7 @@ func (e *Engine) CachedInvariant(inst *spatial.Instance) (*invariant.Invariant, 
 // waiting on another goroutine's in-flight compute, a disk-store hit and a
 // fresh computation all count as misses.
 func (e *Engine) invariant(inst *spatial.Instance) (*invariant.Invariant, bool, error) {
-	key, err := e.key(inst)
+	key, err := e.Key(inst)
 	if err != nil {
 		return nil, false, fmt.Errorf("engine: %w", err)
 	}
@@ -463,7 +464,7 @@ func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 		}
 	}()
 
-	instKey, keyErr := e.key(req.Instance)
+	instKey, keyErr := e.Key(req.Instance)
 	if req.Query != nil {
 		res.Canonical = queryl.Format(req.Query)
 	}

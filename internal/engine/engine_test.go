@@ -36,12 +36,35 @@ func TestKeyMemoUsesEnforcedCapacity(t *testing.T) {
 	for _, capacity := range []int{-3, 0, 1} {
 		e := New(WithCacheCapacity(capacity))
 		for _, inst := range []*spatial.Instance{a, b} {
-			if _, err := e.key(inst); err != nil {
+			if _, err := e.Key(inst); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if n := len(e.keyMemo); n != 2 {
 			t.Errorf("capacity %d: %d of 2 keys memoized, want 2", capacity, n)
+		}
+	}
+}
+
+// TestKeyMatchesInstanceKey: Key returns InstanceKey's content address and
+// computes it once per instance pointer.
+func TestKeyMatchesInstanceKey(t *testing.T) {
+	e := New()
+	inst := nested(t, 2)
+	want, err := InstanceKey(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		got, err := e.Key(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("call %d: Key = %s, InstanceKey = %s", i+1, got, want)
+		}
+		if n := len(e.keyMemo); n != 1 {
+			t.Errorf("call %d: %d memo entries, want 1", i+1, n)
 		}
 	}
 }

@@ -36,7 +36,7 @@ func WithEvaluatorCapacity(n int) Option {
 // building it at most once per instance content.  It implements
 // core.EvalSource.
 func (e *Engine) CompiledEvaluator(inst *spatial.Instance) (*pointfo.CompiledEvaluator, error) {
-	key, err := e.key(inst)
+	key, err := e.Key(inst)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

@@ -88,7 +88,7 @@ func (e *Engine) Similar(inst *spatial.Instance, k int) ([]simindex.Match, error
 	if err != nil {
 		return nil, err
 	}
-	key, err := e.key(inst)
+	key, err := e.Key(inst)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
@@ -109,7 +109,7 @@ func (e *Engine) SimEntry(inst *spatial.Instance) (simindex.Entry, bool) {
 	if e.sim == nil {
 		return simindex.Entry{}, false
 	}
-	key, err := e.key(inst)
+	key, err := e.Key(inst)
 	if err != nil {
 		return simindex.Entry{}, false
 	}

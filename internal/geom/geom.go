@@ -35,9 +35,6 @@ func (p Point) Key() string { return p.X.Key() + "," + p.Y.Key() }
 // String renders the point as "(x, y)".
 func (p Point) String() string { return fmt.Sprintf("(%s, %s)", p.X, p.Y) }
 
-// Add returns p translated by the vector q.
-func (p Point) Add(q Point) Point { return Point{p.X.Add(q.X), p.Y.Add(q.Y)} }
-
 // Sub returns the vector p - q.
 func (p Point) Sub(q Point) Point { return Point{p.X.Sub(q.X), p.Y.Sub(q.Y)} }
 
@@ -186,9 +183,6 @@ func (s Segment) Box() Box {
 	}
 }
 
-// Midpoint returns the midpoint of the segment.
-func (s Segment) Midpoint() Point { return Mid(s.A, s.B) }
-
 // ContainsPoint reports whether p lies on the closed segment s.
 func (s Segment) ContainsPoint(p Point) bool {
 	if Orientation(s.A, s.B, p) != 0 {
@@ -240,14 +234,6 @@ func (b Box) Intersects(c Box) bool {
 		return false
 	}
 	return true
-}
-
-// Union returns the smallest box containing both b and c.
-func (b Box) Union(c Box) Box {
-	return Box{
-		MinX: rat.Min(b.MinX, c.MinX), MaxX: rat.Max(b.MaxX, c.MaxX),
-		MinY: rat.Min(b.MinY, c.MinY), MaxY: rat.Max(b.MaxY, c.MaxY),
-	}
 }
 
 // ExtendPoint returns the smallest box containing b and p.
@@ -427,12 +413,6 @@ func (pg Polygon) SignedArea2() rat.R {
 	return sum
 }
 
-// Area returns the (unsigned) area of the polygon.
-func (pg Polygon) Area() rat.R { return pg.SignedArea2().Abs().Mul(rat.Half) }
-
-// IsCCW reports whether the polygon's vertices are in counterclockwise order.
-func (pg Polygon) IsCCW() bool { return pg.SignedArea2().Sign() > 0 }
-
 // Reverse returns the polygon with opposite orientation.
 func (pg Polygon) Reverse() Polygon {
 	n := len(pg.Vertices)
@@ -442,17 +422,6 @@ func (pg Polygon) Reverse() Polygon {
 	}
 	return Polygon{Vertices: out}
 }
-
-// CCW returns the polygon oriented counterclockwise.
-func (pg Polygon) CCW() Polygon {
-	if pg.IsCCW() {
-		return pg
-	}
-	return pg.Reverse()
-}
-
-// Box returns the bounding box of the polygon.
-func (pg Polygon) Box() Box { return BoxAround(pg.Vertices...) }
 
 // IsSimple reports whether the polygon is simple: no two non-adjacent edges
 // intersect, and adjacent edges meet only at their shared vertex.  A polygon
@@ -542,9 +511,6 @@ func (pg Polygon) Locate(p Point) PointLocation {
 	return Outside
 }
 
-// Contains reports whether p is inside or on the boundary of the polygon.
-func (pg Polygon) Contains(p Point) bool { return pg.Locate(p) != Outside }
-
 // Polyline is an open chain of straight segments; consecutive points must be
 // distinct.
 type Polyline struct {
@@ -583,9 +549,6 @@ func (pl Polyline) Segments() []Segment {
 	}
 	return out
 }
-
-// Box returns the bounding box of the polyline.
-func (pl Polyline) Box() Box { return BoxAround(pl.Points...) }
 
 // --- helpers ---------------------------------------------------------------
 

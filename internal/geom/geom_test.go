@@ -29,9 +29,6 @@ func TestOrientation(t *testing.T) {
 func TestPointBasics(t *testing.T) {
 	p := Pt(3, -2)
 	q := Pt(1, 5)
-	if !p.Add(q).Equal(Pt(4, 3)) {
-		t.Error("Add wrong")
-	}
 	if !p.Sub(q).Equal(Pt(2, -7)) {
 		t.Error("Sub wrong")
 	}
@@ -70,9 +67,6 @@ func TestSegmentBasics(t *testing.T) {
 	if s.Key() != s.Reverse().Key() {
 		t.Error("Key should be orientation independent")
 	}
-	if !s.Midpoint().Equal(Pt(2, 2)) {
-		t.Error("Midpoint wrong")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("degenerate segment should panic")
@@ -100,11 +94,7 @@ func TestBoxOperations(t *testing.T) {
 	if !b1.Intersects(b4) {
 		t.Error("touching boxes should intersect")
 	}
-	u := b1.Union(b3)
-	if !u.ContainsPoint(Pt(0, 0)) || !u.ContainsPoint(Pt(11, 11)) {
-		t.Error("Union wrong")
-	}
-	if !b1.Center().Equal(Pt(1, 1).Add(Point{rat.Zero, rat.Half})) {
+	if !b1.Center().Equal(PtR(rat.One, rat.New(3, 2))) {
 		t.Errorf("Center = %v", b1.Center())
 	}
 	if !b1.Width().Equal(rat.FromInt(2)) || !b1.Height().Equal(rat.FromInt(3)) {
@@ -264,17 +254,11 @@ func TestPolygonConstruction(t *testing.T) {
 	if !sq.IsSimple() {
 		t.Error("rectangle should be simple")
 	}
-	if !sq.Area().Equal(rat.FromInt(16)) {
-		t.Errorf("area = %v, want 16", sq.Area())
+	if a := sq.SignedArea2(); !a.Equal(rat.FromInt(32)) {
+		t.Errorf("twice the signed area = %v, want 32 (counterclockwise)", a)
 	}
-	if !sq.IsCCW() {
-		t.Error("Rect should be CCW")
-	}
-	if sq.Reverse().IsCCW() {
-		t.Error("Reverse should flip orientation")
-	}
-	if !sq.Reverse().CCW().IsCCW() {
-		t.Error("CCW should restore orientation")
+	if a := sq.Reverse().SignedArea2(); !a.Equal(rat.FromInt(-32)) {
+		t.Errorf("reversed: twice the signed area = %v, want -32", a)
 	}
 	if len(sq.Edges()) != 4 {
 		t.Error("Edges count wrong")
@@ -313,9 +297,6 @@ func TestPolygonLocate(t *testing.T) {
 			t.Errorf("Locate(%v) = %v, want %v", c.p, got, c.want)
 		}
 	}
-	if !sq.Contains(Pt(1, 1)) || sq.Contains(Pt(9, 9)) {
-		t.Error("Contains wrong")
-	}
 	// Concave polygon: the notch is outside.
 	l := MustPolygon(Pt(0, 0), Pt(4, 0), Pt(4, 2), Pt(2, 2), Pt(2, 4), Pt(0, 4))
 	if l.Locate(Pt(3, 3)) != Outside {
@@ -336,10 +317,6 @@ func TestPolyline(t *testing.T) {
 	pl := MustPolyline(Pt(0, 0), Pt(2, 0), Pt(2, 3))
 	if len(pl.Segments()) != 2 {
 		t.Error("Segments count wrong")
-	}
-	b := pl.Box()
-	if !b.ContainsPoint(Pt(2, 3)) || !b.ContainsPoint(Pt(0, 0)) {
-		t.Error("Box wrong")
 	}
 }
 

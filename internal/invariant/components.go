@@ -50,18 +50,6 @@ type Component struct {
 // Size returns the number of skeleton cells in the component.
 func (c *Component) Size() int { return len(c.Vertices) + len(c.Edges) }
 
-// HasProperEdge reports whether the component contains an edge with two
-// distinct endpoints (needed to select the ordering construction of
-// Lemma 3.1).
-func (c *Component) HasProperEdge(inv *Invariant) bool {
-	for _, e := range c.Edges {
-		if inv.Edges[e].IsProper() {
-			return true
-		}
-	}
-	return false
-}
-
 // Components computes (and caches) the connected components, face ownership,
 // distances and the connected-component tree of the invariant.  It is safe
 // for concurrent use: invariants are shared across goroutines by the engine's
@@ -300,27 +288,6 @@ func (cs *Components) Depth(id int) int {
 
 // Count returns the number of connected components.
 func (cs *Components) Count() int { return len(cs.List) }
-
-// RegionPartition returns, for instances where every region boundary lies in
-// a single component, the partition of region names induced by components
-// (the paper's partition π).  ok is false if some region meets several
-// components.
-func (cs *Components) RegionPartition() (map[int][]string, bool) {
-	out := map[int][]string{}
-	//lint:allow determinism(bucket contents are appended in map order but every bucket is sorted before return, below)
-	for name, comps := range cs.RegionComponents {
-		if len(comps) > 1 {
-			return nil, false
-		}
-		if len(comps) == 1 {
-			out[comps[0]] = append(out[comps[0]], name)
-		}
-	}
-	for _, names := range out {
-		sort.Strings(names)
-	}
-	return out, true
-}
 
 // TreeString renders the connected-component tree in a compact indented form
 // (Fig. 2 of the paper).

@@ -241,35 +241,6 @@ func (inv *Invariant) ProperEdgesOfVertex(v int) []int {
 	return out
 }
 
-// FacesOfVertex returns the distinct faces incident to a vertex.
-func (inv *Invariant) FacesOfVertex(v int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, c := range inv.Vertices[v].Cone {
-		if c.Kind == FaceCell && !seen[c.Index] {
-			seen[c.Index] = true
-			out = append(out, c.Index)
-		}
-	}
-	if len(out) == 0 {
-		out = append(out, inv.Vertices[v].Face)
-	}
-	return out
-}
-
-// OtherFace returns the face on the other side of edge e from face f
-// (or f itself if the edge has the same face on both sides).
-func (inv *Invariant) OtherFace(e, f int) int {
-	faces := inv.Edges[e].Faces
-	if len(faces) == 1 {
-		return faces[0]
-	}
-	if faces[0] == f {
-		return faces[1]
-	}
-	return faces[0]
-}
-
 // String summarises the invariant.
 func (inv *Invariant) String() string {
 	return fmt.Sprintf("top(I): %d vertices, %d edges, %d faces (%d cells)",

@@ -238,9 +238,6 @@ func TestComponentsNested(t *testing.T) {
 	if len(cs.RegionComponents["P"]) != 2 {
 		t.Errorf("P spans %d components, want 2", len(cs.RegionComponents["P"]))
 	}
-	if _, ok := cs.RegionPartition(); ok {
-		t.Error("RegionPartition should fail when a region spans several components")
-	}
 	// Face ownership: every bounded face is owned by some component, and the
 	// total face count distributed among components is |Faces|-1.
 	owned := 0
@@ -275,20 +272,13 @@ func TestComponentsSimplePartition(t *testing.T) {
 	if cs.Count() != 2 {
 		t.Fatalf("components = %d, want 2", cs.Count())
 	}
-	part, ok := cs.RegionPartition()
-	if !ok {
-		t.Fatal("RegionPartition failed")
+	for _, name := range []string{"P", "Q", "R"} {
+		if got := cs.RegionComponents[name]; len(got) != 1 {
+			t.Fatalf("%s meets components %v, want exactly one", name, got)
+		}
 	}
-	sizes := map[int]int{}
-	for comp, names := range part {
-		sizes[len(names)] = comp
-		_ = comp
-	}
-	if _, ok := sizes[2]; !ok {
-		t.Errorf("expected a component carrying two region names, got %v", part)
-	}
-	if _, ok := sizes[1]; !ok {
-		t.Errorf("expected a component carrying one region name, got %v", part)
+	if p, q, r := cs.RegionComponents["P"][0], cs.RegionComponents["Q"][0], cs.RegionComponents["R"][0]; p != q || p == r {
+		t.Errorf("components P=%d Q=%d R=%d, want P and Q shared and R apart", p, q, r)
 	}
 }
 
@@ -334,9 +324,6 @@ func TestHasProperEdgeAndHelpers(t *testing.T) {
 	if cs.Count() != 1 {
 		t.Fatal("expected one component")
 	}
-	if !cs.List[0].HasProperEdge(inv) {
-		t.Error("crossing rectangles have proper edges")
-	}
 	// Vertex helpers.
 	for v := range inv.Vertices {
 		if got := len(inv.EdgesOfVertex(v)); got != 4 {
@@ -345,22 +332,6 @@ func TestHasProperEdgeAndHelpers(t *testing.T) {
 		if got := len(inv.ProperEdgesOfVertex(v)); got != 4 {
 			t.Errorf("ProperEdgesOfVertex = %d, want 4", got)
 		}
-		if got := len(inv.FacesOfVertex(v)); got != 4 {
-			t.Errorf("FacesOfVertex = %d, want 4", got)
-		}
-	}
-	// OtherFace flips across a two-sided edge.
-	e0 := 0
-	fs := inv.Edges[e0].Faces
-	if len(fs) == 2 {
-		if inv.OtherFace(e0, fs[0]) != fs[1] || inv.OtherFace(e0, fs[1]) != fs[0] {
-			t.Error("OtherFace wrong")
-		}
-	}
-	// A rectangle-only invariant has no proper edges.
-	inv2 := MustCompute(instOf(t, map[string]region.Region{"P": region.Rect(0, 0, 4, 4)}))
-	if inv2.Components().List[0].HasProperEdge(inv2) {
-		t.Error("free loop component should have no proper edge")
 	}
 }
 

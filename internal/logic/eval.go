@@ -55,42 +55,6 @@ func MustEval(s *relational.Structure, f Formula, env Env) bool {
 	return r
 }
 
-// EvalFree evaluates a formula with free element variables and returns the
-// set of satisfying assignments, as tuples in the order given by vars.
-func EvalFree(s *relational.Structure, f Formula, vars []string) ([]relational.Tuple, error) {
-	var out []relational.Tuple
-	env := Env{}
-	var rec func(i int) error
-	rec = func(i int) error {
-		if i == len(vars) {
-			ok, err := Eval(s, f, env)
-			if err != nil {
-				return err
-			}
-			if ok {
-				t := make(relational.Tuple, len(vars))
-				for j, v := range vars {
-					t[j] = env[v]
-				}
-				out = append(out, t)
-			}
-			return nil
-		}
-		for e := 0; e < s.Size; e++ {
-			env[vars[i]] = e
-			if err := rec(i + 1); err != nil {
-				return err
-			}
-		}
-		delete(env, vars[i])
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 func (ev *evaluator) eval(f Formula, env Env) bool {
 	switch g := f.(type) {
 	case True:

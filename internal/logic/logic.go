@@ -19,10 +19,7 @@ package logic
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-
-	"repro/internal/relational"
 )
 
 // Term is an element- or number-valued term.
@@ -234,193 +231,3 @@ func ExistsOne(v string, body Formula) Formula { return Exists{Vars: []string{v}
 
 // ForallOne quantifies a single element variable.
 func ForallOne(v string, body Formula) Formula { return Forall{Vars: []string{v}, Body: body} }
-
-// --- static analysis ----------------------------------------------------------
-
-// QuantifierDepth returns the quantifier depth of the formula (counting
-// element and number quantifiers; fixpoint operators count as the depth of
-// their body).
-func QuantifierDepth(f Formula) int {
-	switch g := f.(type) {
-	case True, False, Pred, Eq, Less:
-		return 0
-	case Not:
-		return QuantifierDepth(g.F)
-	case And:
-		return maxDepth(g.Fs)
-	case Or:
-		return maxDepth(g.Fs)
-	case Implies:
-		return maxInt(QuantifierDepth(g.L), QuantifierDepth(g.R))
-	case Exists:
-		return len(g.Vars) + QuantifierDepth(g.Body)
-	case Forall:
-		return len(g.Vars) + QuantifierDepth(g.Body)
-	case ExistsNum:
-		return len(g.Vars) + QuantifierDepth(g.Body)
-	case ForallNum:
-		return len(g.Vars) + QuantifierDepth(g.Body)
-	case IFP:
-		return QuantifierDepth(g.Body)
-	case PFP:
-		return QuantifierDepth(g.Body)
-	default:
-		panic(fmt.Sprintf("logic: unknown formula %T", f))
-	}
-}
-
-func maxDepth(fs []Formula) int {
-	m := 0
-	for _, f := range fs {
-		if d := QuantifierDepth(f); d > m {
-			m = d
-		}
-	}
-	return m
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// Size returns the number of AST nodes of the formula — the measure used when
-// stating that the translation of Theorem 4.1 is linear in the query size.
-func Size(f Formula) int {
-	switch g := f.(type) {
-	case True, False, Eq, Less:
-		return 1
-	case Pred:
-		return 1 + len(g.Args)
-	case Not:
-		return 1 + Size(g.F)
-	case And:
-		n := 1
-		for _, s := range g.Fs {
-			n += Size(s)
-		}
-		return n
-	case Or:
-		n := 1
-		for _, s := range g.Fs {
-			n += Size(s)
-		}
-		return n
-	case Implies:
-		return 1 + Size(g.L) + Size(g.R)
-	case Exists:
-		return 1 + len(g.Vars) + Size(g.Body)
-	case Forall:
-		return 1 + len(g.Vars) + Size(g.Body)
-	case ExistsNum:
-		return 1 + len(g.Vars) + Size(g.Body)
-	case ForallNum:
-		return 1 + len(g.Vars) + Size(g.Body)
-	case IFP:
-		return 2 + len(g.Vars) + len(g.Args) + Size(g.Body)
-	case PFP:
-		return 2 + len(g.Vars) + len(g.Args) + Size(g.Body)
-	default:
-		panic(fmt.Sprintf("logic: unknown formula %T", f))
-	}
-}
-
-// FreeVars returns the free variables of the formula in sorted order.
-func FreeVars(f Formula) []string {
-	set := map[string]bool{}
-	collectFree(f, map[string]bool{}, set)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func collectFree(f Formula, bound map[string]bool, out map[string]bool) {
-	addTerm := func(t Term) { collectFreeTerm(t, bound, out) }
-	switch g := f.(type) {
-	case True, False:
-	case Pred:
-		for _, a := range g.Args {
-			addTerm(a)
-		}
-	case Eq:
-		addTerm(g.L)
-		addTerm(g.R)
-	case Less:
-		addTerm(g.L)
-		addTerm(g.R)
-	case Not:
-		collectFree(g.F, bound, out)
-	case And:
-		for _, s := range g.Fs {
-			collectFree(s, bound, out)
-		}
-	case Or:
-		for _, s := range g.Fs {
-			collectFree(s, bound, out)
-		}
-	case Implies:
-		collectFree(g.L, bound, out)
-		collectFree(g.R, bound, out)
-	case Exists:
-		collectFreeQuant(g.Vars, g.Body, bound, out)
-	case Forall:
-		collectFreeQuant(g.Vars, g.Body, bound, out)
-	case ExistsNum:
-		collectFreeQuant(g.Vars, g.Body, bound, out)
-	case ForallNum:
-		collectFreeQuant(g.Vars, g.Body, bound, out)
-	case IFP:
-		collectFreeQuant(g.Vars, g.Body, bound, out)
-		for _, a := range g.Args {
-			addTerm(a)
-		}
-	case PFP:
-		collectFreeQuant(g.Vars, g.Body, bound, out)
-		for _, a := range g.Args {
-			addTerm(a)
-		}
-	default:
-		panic(fmt.Sprintf("logic: unknown formula %T", f))
-	}
-}
-
-func collectFreeQuant(vars []string, body Formula, bound, out map[string]bool) {
-	inner := map[string]bool{}
-	for k := range bound {
-		inner[k] = true
-	}
-	for _, v := range vars {
-		inner[v] = true
-	}
-	collectFree(body, inner, out)
-}
-
-func collectFreeTerm(t Term, bound, out map[string]bool) {
-	switch g := t.(type) {
-	case Var:
-		if !bound[g.Name] {
-			out[g.Name] = true
-		}
-	case Const:
-	case Add:
-		collectFreeTerm(g.L, bound, out)
-		collectFreeTerm(g.R, bound, out)
-	case Count:
-		inner := map[string]bool{}
-		for k := range bound {
-			inner[k] = true
-		}
-		inner[g.Var] = true
-		collectFree(g.Body, inner, out)
-	default:
-		panic(fmt.Sprintf("logic: unknown term %T", t))
-	}
-}
-
-// ensure relational import is referenced by the package API below (eval.go).
-var _ = relational.Tuple(nil)

@@ -72,17 +72,6 @@ func TestEvalErrors(t *testing.T) {
 	}
 }
 
-func TestEvalFree(t *testing.T) {
-	s := pathGraph(4, 0)
-	tuples, err := EvalFree(s, Atom("E", "x", "y"), []string{"x", "y"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tuples) != 3 {
-		t.Errorf("E has %d tuples, want 3", len(tuples))
-	}
-}
-
 func TestReachabilityFixpoint(t *testing.T) {
 	s := pathGraph(6, 0)
 	reach := Reachability("E", "x", "y")
@@ -205,42 +194,6 @@ func TestNestedFixpoints(t *testing.T) {
 	}
 	if MustEval(s, f, Env{"x": 0, "y": 3}) {
 		t.Error("3 not reachable within U (2 is missing from U)")
-	}
-}
-
-func TestQuantifierDepthAndSize(t *testing.T) {
-	f := ForallOne("x", Implies{Atom("U", "x"), ExistsOne("y", Atom("E", "x", "y"))})
-	if QuantifierDepth(f) != 2 {
-		t.Errorf("QuantifierDepth = %d, want 2", QuantifierDepth(f))
-	}
-	if QuantifierDepth(Atom("U", "x")) != 0 {
-		t.Error("atom depth should be 0")
-	}
-	if QuantifierDepth(EvenCardinality("U")) < 1 {
-		t.Error("fixpoint body depth not counted")
-	}
-	if Size(f) <= 5 {
-		t.Errorf("Size = %d, suspiciously small", Size(f))
-	}
-	if Size(Atom("U", "x")) != 2 {
-		t.Errorf("Size of atom = %d, want 2", Size(Atom("U", "x")))
-	}
-}
-
-func TestFreeVars(t *testing.T) {
-	f := Exists{[]string{"y"}, And{[]Formula{Atom("E", "x", "y"), Atom("U", "z")}}}
-	got := FreeVars(f)
-	if len(got) != 2 || got[0] != "x" || got[1] != "z" {
-		t.Errorf("FreeVars = %v, want [x z]", got)
-	}
-	// Count binds its variable.
-	g := Eq{Count{Var: "w", Body: Atom("U", "w")}, Var{"n"}}
-	got2 := FreeVars(g)
-	if len(got2) != 1 || got2[0] != "n" {
-		t.Errorf("FreeVars = %v, want [n]", got2)
-	}
-	if len(FreeVars(Reachability("E", "x", "y"))) != 2 {
-		t.Error("Reachability should have two free variables")
 	}
 }
 

@@ -77,16 +77,6 @@ func New(num, den int64) R {
 	return R{num: num, den: den}
 }
 
-// FromFloat converts a float64 to the exactly equal rational number.
-// It panics on NaN or ±Inf.
-func FromFloat(f float64) R {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		panic("rat: cannot convert NaN or Inf")
-	}
-	br := new(big.Rat).SetFloat64(f)
-	return fromBig(br)
-}
-
 // Parse parses a rational from a string.  Accepted forms are "a", "a/b" and
 // decimal notation such as "-3.25".
 func Parse(s string) (R, error) {
@@ -284,14 +274,6 @@ func (r R) Inv() R {
 	return fromBig(new(big.Rat).Inv(r.big))
 }
 
-// Abs returns |r|.
-func (r R) Abs() R {
-	if r.Sign() < 0 {
-		return r.Neg()
-	}
-	return r.normalised()
-}
-
 // Sign returns -1, 0 or +1 according to the sign of r.
 func (r R) Sign() int {
 	r = r.normalised()
@@ -344,15 +326,6 @@ func (r R) Less(s R) bool { return r.Cmp(s) < 0 }
 
 // LessEq reports whether r <= s.
 func (r R) LessEq(s R) bool { return r.Cmp(s) <= 0 }
-
-// IsInt reports whether r is an integer.
-func (r R) IsInt() bool {
-	r = r.normalised()
-	if r.isFast() {
-		return r.den == 1
-	}
-	return r.big.IsInt()
-}
 
 // Float returns the nearest float64 approximation of r.
 func (r R) Float() float64 {

@@ -76,9 +76,6 @@ func TestArithmeticBasics(t *testing.T) {
 	if got := a.Neg(); !got.Equal(New(-1, 3)) {
 		t.Errorf("-(1/3) = %v", got)
 	}
-	if got := New(-3, 4).Abs(); !got.Equal(New(3, 4)) {
-		t.Errorf("|-3/4| = %v", got)
-	}
 	if got := New(4, 7).Inv(); !got.Equal(New(7, 4)) {
 		t.Errorf("(4/7)^-1 = %v", got)
 	}
@@ -170,9 +167,6 @@ func TestMinInt64EdgeCases(t *testing.T) {
 	if got := m.Neg(); got.Sign() <= 0 {
 		t.Errorf("-MinInt64 should be positive, got %v", got)
 	}
-	if got := m.Abs(); got.Sign() <= 0 {
-		t.Errorf("|MinInt64| should be positive, got %v", got)
-	}
 	inv := m.Inv()
 	if inv.Sign() >= 0 {
 		t.Errorf("1/MinInt64 should be negative, got %v", inv)
@@ -238,21 +232,6 @@ func TestMustParsePanics(t *testing.T) {
 	MustParse("not-a-number")
 }
 
-func TestFromFloat(t *testing.T) {
-	if !FromFloat(0.5).Equal(Half) {
-		t.Error("FromFloat(0.5) != 1/2")
-	}
-	if !FromFloat(-2).Equal(FromInt(-2)) {
-		t.Error("FromFloat(-2) != -2")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on NaN")
-		}
-	}()
-	FromFloat(math.NaN())
-}
-
 func TestStringAndKey(t *testing.T) {
 	if New(3, 9).Key() != "1/3" {
 		t.Errorf("Key = %q", New(3, 9).Key())
@@ -268,15 +247,6 @@ func TestFloatApproximation(t *testing.T) {
 	}
 	if got := New(-7, 2).Float(); got != -3.5 {
 		t.Errorf("Float(-7/2) = %v", got)
-	}
-}
-
-func TestIsInt(t *testing.T) {
-	if !FromInt(42).IsInt() || !Zero.IsInt() {
-		t.Error("integers not recognised")
-	}
-	if Half.IsInt() {
-		t.Error("1/2 reported as integer")
 	}
 }
 

@@ -168,18 +168,6 @@ func (f Feature) ContainsInterior(p geom.Point) bool {
 	return true
 }
 
-// Box returns the bounding box of the feature.
-func (f Feature) Box() geom.Box {
-	switch f.Dim {
-	case Dim0:
-		return geom.BoxAround(f.Point)
-	case Dim1:
-		return f.Line.Box()
-	default:
-		return f.Outer.Box()
-	}
-}
-
 // PointCount returns the number of coordinate points used to represent the
 // feature (the paper's raw-size unit: a stored point).
 func (f Feature) PointCount() int {
@@ -267,7 +255,9 @@ func (r Region) Validate() error {
 	return nil
 }
 
-// Contains reports whether p belongs to the closed region.
+// Contains reports whether p belongs to the closed region.  It is the
+// tests' point-location reference (pointfo's tree walk and arrangement's
+// reference build); no production path calls it.
 func (r Region) Contains(p geom.Point) bool {
 	for _, f := range r.Features {
 		if f.Contains(p) {
@@ -280,7 +270,8 @@ func (r Region) Contains(p geom.Point) bool {
 // ContainsInterior reports whether p belongs to the interior of the region
 // in R² (i.e. to the interior of some area feature and not to any other
 // feature's constraints).  For semi-linear unions this is the union of the
-// feature interiors.
+// feature interiors.  Like Contains, it is the tests' point-location
+// reference.
 func (r Region) ContainsInterior(p geom.Point) bool {
 	for _, f := range r.Features {
 		if f.ContainsInterior(p) {
@@ -292,7 +283,8 @@ func (r Region) ContainsInterior(p geom.Point) bool {
 
 // OnBoundary reports whether p is on the topological boundary of the region:
 // it belongs to the region but not to its interior, or it is a boundary point
-// of an area feature.
+// of an area feature.  Like Contains, it is the tests' point-location
+// reference.
 func (r Region) OnBoundary(p geom.Point) bool {
 	return r.Contains(p) && !r.ContainsInterior(p)
 }
@@ -316,19 +308,6 @@ func (r Region) IsolatedPoints() []geom.Point {
 	return out
 }
 
-// Box returns the bounding box of the region; ok is false for the empty
-// region.
-func (r Region) Box() (geom.Box, bool) {
-	if r.IsEmpty() {
-		return geom.Box{}, false
-	}
-	b := r.Features[0].Box()
-	for _, f := range r.Features[1:] {
-		b = b.Union(f.Box())
-	}
-	return b, true
-}
-
 // PointCount returns the total number of stored coordinate points, the
 // paper's unit for raw data size.
 func (r Region) PointCount() int {
@@ -349,21 +328,6 @@ func (r Region) MaxDimension() Dimension {
 		}
 	}
 	return max
-}
-
-// FullyTwoDimensional reports whether the region equals the closure of its
-// interior, i.e. it has only area features (the "fully two-dimensional"
-// regions of the paper's practical-considerations section).
-func (r Region) FullyTwoDimensional() bool {
-	if r.IsEmpty() {
-		return false
-	}
-	for _, f := range r.Features {
-		if f.Dim != Dim2 {
-			return false
-		}
-	}
-	return true
 }
 
 // Translate returns the region translated by vector (dx, dy).

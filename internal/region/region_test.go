@@ -84,9 +84,6 @@ func TestRegionBasics(t *testing.T) {
 	if !empty.IsEmpty() {
 		t.Error("zero region should be empty")
 	}
-	if _, ok := empty.Box(); ok {
-		t.Error("empty region should have no box")
-	}
 	r := Must(
 		AreaFeature(geom.Rect(0, 0, 4, 4)),
 		PointFeature(geom.Pt(10, 10)),
@@ -103,21 +100,11 @@ func TestRegionBasics(t *testing.T) {
 	if !r.OnBoundary(geom.Pt(0, 0)) || !r.OnBoundary(geom.Pt(10, 10)) || r.OnBoundary(geom.Pt(2, 2)) {
 		t.Error("boundary wrong")
 	}
-	b, ok := r.Box()
-	if !ok || !b.ContainsPoint(geom.Pt(10, 10)) || !b.ContainsPoint(geom.Pt(0, 0)) {
-		t.Error("box wrong")
-	}
 	if r.PointCount() != 5 {
 		t.Errorf("PointCount = %d, want 5", r.PointCount())
 	}
 	if r.MaxDimension() != Dim2 {
 		t.Error("MaxDimension wrong")
-	}
-	if r.FullyTwoDimensional() {
-		t.Error("region with a point feature is not fully two-dimensional")
-	}
-	if !Rect(0, 0, 1, 1).FullyTwoDimensional() {
-		t.Error("rectangle should be fully two-dimensional")
 	}
 	if len(r.IsolatedPoints()) != 1 || len(r.BoundarySegments()) != 4 {
 		t.Error("boundary decomposition wrong")

@@ -165,22 +165,6 @@ func (s *Structure) Clone() *Structure {
 	return out
 }
 
-// Equal reports whether two structures have the same universe size and
-// identical relations (same names, arities and tuples).  This is literal
-// equality, not isomorphism.
-func (s *Structure) Equal(o *Structure) bool {
-	if s.Size != o.Size || len(s.relations) != len(o.relations) {
-		return false
-	}
-	for n, r := range s.relations {
-		or, ok := o.relations[n]
-		if !ok || !r.Equal(or) {
-			return false
-		}
-	}
-	return true
-}
-
 // TupleCount returns the total number of tuples across all relations.
 func (s *Structure) TupleCount() int {
 	n := 0
@@ -193,18 +177,6 @@ func (s *Structure) TupleCount() int {
 // String renders a short description.
 func (s *Structure) String() string {
 	return fmt.Sprintf("structure(|U|=%d, relations=%d, tuples=%d)", s.Size, len(s.relations), s.TupleCount())
-}
-
-// Signature describes relation names and arities.
-type Signature map[string]int
-
-// Signature returns the structure's signature.
-func (s *Structure) Signature() Signature {
-	out := make(Signature, len(s.relations))
-	for n, r := range s.relations {
-		out[n] = r.Arity
-	}
-	return out
 }
 
 // SameSignature reports whether two structures have identical signatures.

@@ -62,14 +62,6 @@ func (s *Schema) Has(name string) bool {
 	return ok
 }
 
-// Index returns the position of name in the schema order, or -1.
-func (s *Schema) Index(name string) int {
-	if i, ok := s.index[name]; ok {
-		return i
-	}
-	return -1
-}
-
 // Instance is a spatial database instance: a mapping from the schema's region
 // names to compact regions.
 //
@@ -132,35 +124,11 @@ func (i *Instance) Region(name string) region.Region {
 	return i.regions[name]
 }
 
-// Regions returns a copy of the name→region mapping for all schema names.
-func (i *Instance) Regions() map[string]region.Region {
-	out := make(map[string]region.Region, i.schema.Size())
-	for _, n := range i.schema.names {
-		out[n] = i.regions[n]
-	}
-	return out
-}
-
-// Contains reports whether point p belongs to the named region.
+// Contains reports whether point p belongs to the named region.  No
+// production path locates points; this is the point-location reference the
+// tests check sample membership and the tree-walk evaluator against.
 func (i *Instance) Contains(name string, p geom.Point) bool {
 	return i.regions[name].Contains(p)
-}
-
-// Box returns the bounding box of the whole instance; ok is false when every
-// region is empty.
-func (i *Instance) Box() (geom.Box, bool) {
-	var box geom.Box
-	found := false
-	for _, n := range i.schema.names {
-		if b, ok := i.regions[n].Box(); ok {
-			if !found {
-				box, found = b, true
-			} else {
-				box = box.Union(b)
-			}
-		}
-	}
-	return box, found
 }
 
 // PointCount returns the total number of stored coordinate points across all

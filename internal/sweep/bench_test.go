@@ -43,21 +43,6 @@ func BenchmarkImportValidation(b *testing.B) {
 	})
 }
 
-// BenchmarkRingSimple isolates the simplicity check at the sizes the
-// tentpole names (1k / 10k / 100k vertices).
-func BenchmarkRingSimple(b *testing.B) {
-	for _, n := range []int{1000, 10000, 100000} {
-		pg := sawtoothRing(n)
-		b.Run(fmt.Sprintf("%dv", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if !sweep.RingSimple(pg) {
-					b.Fatal("ring reported non-simple")
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkValidateAreaHoles measures the polygon-with-holes path: one
 // outer ring with a grid of holes, where the old quadratic hole checks were
 // the dominant cost.

@@ -160,7 +160,9 @@ func TestSweepWorkloadBoundaries(t *testing.T) {
 	}
 }
 
-// RingSimple differential spot checks (the fuzz target covers the long tail).
+// TestRingSimpleMatchesIsSimple spot-checks the sweep's ring-simplicity
+// verdict against geom.Polygon.IsSimple on hole-free rings (the fuzz target
+// covers the long tail).
 func TestRingSimpleMatchesIsSimple(t *testing.T) {
 	rings := map[string]geom.Polygon{
 		"square":          geom.Rect(0, 0, 4, 4),
@@ -174,8 +176,12 @@ func TestRingSimpleMatchesIsSimple(t *testing.T) {
 	}
 	for name, pg := range rings {
 		want := pg.IsSimple()
-		if got := sweep.RingSimple(pg); got != want {
-			t.Errorf("%s: RingSimple = %v, IsSimple = %v", name, got, want)
+		err := sweep.ValidateAreaSweep(pg, nil)
+		if got := err == nil; got != want {
+			t.Errorf("%s: sweep accepts = %v, IsSimple = %v (err %v)", name, got, want, err)
+		}
+		if err != nil && !strings.Contains(err.Error(), "not a simple polygon") {
+			t.Errorf("%s: error %q is not a simplicity verdict", name, err)
 		}
 	}
 }
@@ -263,9 +269,6 @@ func TestSweepLargeRing(t *testing.T) {
 		t.Skip("large ring in -short mode")
 	}
 	pg := sawtoothRing(50000)
-	if !sweep.RingSimple(pg) {
-		t.Fatal("sawtooth ring reported non-simple")
-	}
 	if err := sweep.ValidateAreaSweep(pg, nil); err != nil {
 		t.Fatalf("sawtooth ring rejected: %v", err)
 	}

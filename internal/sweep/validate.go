@@ -1,7 +1,7 @@
-// Validation clients of the sweep: ring simplicity and strict area-feature
-// validation (outer ring + holes), each in a sweep-backed flavour and a
+// Validation client of the sweep: strict area-feature validation (outer
+// ring + holes, every ring simple), in a sweep-backed flavour and a
 // brute-force quadratic flavour with identical verdicts.  The quadratic
-// checkers are kept both as the fast path for the small polygons that
+// checker is kept both as the fast path for the small polygons that
 // dominate cartographic data and as the reference the differential fuzz
 // target compares the sweep against.
 //
@@ -32,31 +32,6 @@ import (
 // 124µs at 32; 349µs vs 251µs at 64); 48 splits the difference and keeps
 // typical ~80-vertex cartographic polygons on the sweep path.
 const quadraticCutoff = 48
-
-// RingSimple reports whether the closed ring is simple: no two non-adjacent
-// edges intersect, and adjacent edges meet only at their shared vertex.  It
-// is verdict-equivalent to geom.Polygon.IsSimple (the quadratic reference
-// the fuzz target compares against) in O((n+k) log n).
-func RingSimple(pg geom.Polygon) bool {
-	n := len(pg.Vertices)
-	if n < 3 {
-		return false
-	}
-	for i, v := range pg.Vertices {
-		if v.Equal(pg.Vertices[(i+1)%n]) {
-			return false // zero-length edge: never simple
-		}
-	}
-	ok := true
-	Run(pg.Edges(), func(p Pair) bool {
-		if ringPairAllowed(pg, p.I, p.J, p.X) {
-			return true
-		}
-		ok = false
-		return false
-	})
-	return ok
-}
 
 // ringPairAllowed reports whether an intersection between edges i < j of the
 // ring is the benign one: adjacent edges meeting exactly at their shared
