@@ -30,7 +30,7 @@ func runAsk(args []string) {
 	in := fs.String("i", "", "binary instance file (output of topoinv encode or import)")
 	workloadName := fs.String("workload", "", "built-in workload instead of -i: landuse | hydrography | commune | nested | multicomponent")
 	scale := fs.Int("scale", 1, "workload scale factor")
-	strategy := fs.String("strategy", "auto", "query strategy: direct | fo | fixpoint | linearized | auto")
+	strategy := fs.String("strategy", "auto", "query strategy: "+strategyNames)
 	storeDir := fs.String("store", "", "directory of a disk-persistent invariant store (optional)")
 	timings := fs.Bool("timings", false, "print the per-stage timing breakdown (answer cache, invariant, evaluation)")
 	fs.Parse(args)
@@ -38,26 +38,7 @@ func runAsk(args []string) {
 	if *q == "" {
 		log.Fatal("ask: -q is required (a sentence like 'exists u . in(P, u)')")
 	}
-	var inst *topoinv.Instance
-	switch {
-	case *in != "" && *workloadName != "":
-		log.Fatal("ask: provide -i or -workload, not both")
-	case *in != "":
-		data, err := os.ReadFile(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if inst, err = topoinv.Decode(data); err != nil {
-			log.Fatalf("ask: %s is not a valid instance blob: %v", *in, err)
-		}
-	case *workloadName != "":
-		var err error
-		if inst, err = generateWorkload(*workloadName, *scale); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatal("ask: provide an instance via -i or -workload")
-	}
+	inst := readInstance("ask", *in, *workloadName, *scale)
 
 	parsed, err := topoinv.ParseQuery(*q)
 	if err != nil {
@@ -66,9 +47,9 @@ func runAsk(args []string) {
 	if err := parsed.CheckSchema(inst.Schema()); err != nil {
 		fatalQueryError(*q, err)
 	}
-	strat, ok := strategies[*strategy]
-	if !ok {
-		log.Fatalf("unknown strategy %q", *strategy)
+	strat, err := parseStrategy(*strategy)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var opts []topoinv.EngineOption

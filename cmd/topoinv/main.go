@@ -1,6 +1,6 @@
 // Command topoinv is the CLI around the library.  It has seven subcommands:
 //
-//	topoinv measure -workload landuse -scale 1 -strategy fixpoint
+//	topoinv measure -workload landuse -scale 1 -strategy auto
 //	    generate a built-in workload, print the compression statistics of the
 //	    paper's practical-considerations section (estimated and measured
 //	    serialized bytes) and answer a built-in query with a chosen strategy;
@@ -32,7 +32,10 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"os"
+	"slices"
+	"strings"
 
 	"repro/internal/stats"
 	"repro/topoinv"
@@ -92,7 +95,7 @@ func runMeasure(args []string) {
 	fs := flag.NewFlagSet("measure", flag.ExitOnError)
 	workloadName := fs.String("workload", "landuse", "workload: landuse | hydrography | commune | nested | multicomponent")
 	scale := fs.Int("scale", 1, "workload scale factor")
-	strategy := fs.String("strategy", "direct", "query strategy: direct | fo | fixpoint | linearized")
+	strategy := fs.String("strategy", "auto", "query strategy: "+strategyNames)
 	fs.Parse(args)
 
 	inst, bpp, bpc := buildWorkload(*workloadName, *scale)
@@ -112,9 +115,9 @@ func runMeasure(args []string) {
 	}
 	name := inst.Schema().Names()[0]
 	query := topoinv.NonEmpty(name)
-	s, ok := strategies[*strategy]
-	if !ok {
-		log.Fatalf("unknown strategy %q", *strategy)
+	s, err := parseStrategy(*strategy)
+	if err != nil {
+		log.Fatal(err)
 	}
 	ans, err := db.Ask(query, s)
 	if err != nil {
@@ -132,6 +135,9 @@ var strategies = map[string]topoinv.Strategy{
 	// and falls back to direct otherwise, instead of erroring.
 	"auto": topoinv.Auto,
 }
+
+// strategyNames lists the strategies table's names for help and error text.
+var strategyNames = strings.Join(slices.Sorted(maps.Keys(strategies)), " | ")
 
 func runEncode(args []string) {
 	fs := flag.NewFlagSet("encode", flag.ExitOnError)
@@ -227,4 +233,28 @@ func buildWorkload(name string, scale int) (*topoinv.Instance, int, int) {
 		bpp = 18
 	}
 	return inst, bpp, bpc
+}
+
+// readInstance returns the instance the ask and similar subcommands run on:
+// a binary blob (-i, as written by encode or import) or a built-in workload
+// (-workload and -scale).  cmd prefixes the error text.
+func readInstance(cmd, in, workload string, scale int) *topoinv.Instance {
+	switch {
+	case in != "" && workload != "":
+		log.Fatalf("%s: provide -i or -workload, not both", cmd)
+	case workload != "":
+		inst, _, _ := buildWorkload(workload, scale)
+		return inst
+	case in == "":
+		log.Fatalf("%s: provide an instance via -i or -workload", cmd)
+	}
+	data, err := os.ReadFile(in)
+	if err != nil {
+		log.Fatal(err)
+	}
+	inst, err := topoinv.Decode(data)
+	if err != nil {
+		log.Fatalf("%s: %s is not a valid instance blob: %v", cmd, in, err)
+	}
+	return inst
 }

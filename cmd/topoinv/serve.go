@@ -98,7 +98,7 @@ import (
 func runServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	cacheCap := fs.Int("cache", 128, "invariant cache capacity (entries)")
+	cacheCap := fs.Int("cache", 0, "invariant cache capacity in entries (0 = default)")
 	answerCap := fs.Int("answers", 0, "answer cache capacity (0 = default)")
 	evalCap := fs.Int("evaluators", 0, "compiled-evaluator cache capacity (0 = default)")
 	workers := fs.Int("workers", 0, "batch worker-pool size (0 = GOMAXPROCS)")
@@ -116,7 +116,10 @@ func runServe(args []string) {
 	}
 	slog.SetDefault(logger)
 
-	opts := []topoinv.EngineOption{topoinv.WithCacheCapacity(*cacheCap)}
+	var opts []topoinv.EngineOption
+	if *cacheCap > 0 {
+		opts = append(opts, topoinv.WithCacheCapacity(*cacheCap))
+	}
 	if *answerCap > 0 {
 		opts = append(opts, topoinv.WithAnswerCapacity(*answerCap))
 	}
@@ -606,7 +609,7 @@ func parseStrategy(name string) (topoinv.Strategy, error) {
 	}
 	s, ok := strategies[name]
 	if !ok {
-		return 0, fmt.Errorf("unknown strategy %q (want direct | fo | fixpoint | linearized | auto)", name)
+		return 0, fmt.Errorf("unknown strategy %q (want %s)", name, strategyNames)
 	}
 	return s, nil
 }

@@ -21,7 +21,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 
 	"repro/topoinv"
 )
@@ -41,26 +40,7 @@ func runSimilar(args []string) {
 	if *k < 1 {
 		log.Fatal("similar: -k must be a positive integer")
 	}
-	var inst *topoinv.Instance
-	switch {
-	case *in != "" && *workloadName != "":
-		log.Fatal("similar: provide -i or -workload, not both")
-	case *in != "":
-		data, err := os.ReadFile(*in)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if inst, err = topoinv.Decode(data); err != nil {
-			log.Fatalf("similar: %s is not a valid instance blob: %v", *in, err)
-		}
-	case *workloadName != "":
-		var err error
-		if inst, err = generateWorkload(*workloadName, *scale); err != nil {
-			log.Fatal(err)
-		}
-	default:
-		log.Fatal("similar: provide a probe via -i or -workload")
-	}
+	inst := readInstance("similar", *in, *workloadName, *scale)
 
 	engine := topoinv.NewEngine(topoinv.WithStore(*storeDir))
 	if err := engine.StoreErr(); err != nil {

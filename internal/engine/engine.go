@@ -651,9 +651,7 @@ func (e *Engine) Stats() Stats {
 		SimErrors:      m.simErrors.Value(),
 		AutoQueries:    m.autoQueries.Value(),
 		AutoFallbacks:  m.autoFallbacks.Value(),
-	}
-	if e.sim != nil {
-		st.Sim = e.sim.Stats()
+		Sim:            e.sim.Stats(),
 	}
 	if e.store != nil {
 		ss := e.store.Stats()

@@ -54,14 +54,13 @@ func (e *Engine) simInit() {
 		e.sim.Add(simindex.MakeEntry(key, inv))
 		e.m.simReindexed.Inc()
 	}
-	e.sim.Rebuild()
 }
 
 // simAdd indexes an invariant under its content key. Skipping keys already
 // present keeps the (canonical-code) entry derivation off the store-hit
 // path after the first sighting.
 func (e *Engine) simAdd(key string, inv *invariant.Invariant) {
-	if e.sim == nil || e.sim.Has(key) {
+	if e.sim.Has(key) {
 		return
 	}
 	e.sim.Add(simindex.MakeEntry(key, inv))
@@ -70,7 +69,7 @@ func (e *Engine) simAdd(key string, inv *invariant.Invariant) {
 // simSave persists the index beside the store's manifest. Called from
 // Close; an engine without a store keeps its index memory-only.
 func (e *Engine) simSave() {
-	if e.sim == nil || e.store == nil {
+	if e.store == nil {
 		return
 	}
 	if err := e.sim.SaveFile(simindex.IndexFilePath(e.store.Dir())); err != nil {
@@ -84,21 +83,16 @@ func (e *Engine) simSave() {
 // the corpus (its invariant is resolved through the usual
 // cache → store → compute path) and is excluded from its own results.
 func (e *Engine) Similar(inst *spatial.Instance, k int) ([]simindex.Match, error) {
-	inv, _, err := e.invariant(inst)
-	if err != nil {
+	if _, _, err := e.invariant(inst); err != nil {
 		return nil, err
 	}
 	key, err := e.Key(inst)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	probe, ok := e.sim.Get(key)
-	if !ok {
-		// The invariant came from the memory cache of a pre-index build or
-		// the index was never populated for it; derive the entry directly.
-		probe = *simindex.MakeEntry(key, inv)
-		e.sim.Add(&probe)
-	}
+	// load indexes every invariant before returning it, and entries are
+	// never removed, so the probe is always present.
+	probe, _ := e.sim.Get(key)
 	return e.sim.Query(&probe, k), nil
 }
 
@@ -106,9 +100,6 @@ func (e *Engine) Similar(inst *spatial.Instance, k int) ([]simindex.Match, error
 // fingerprint, feature vector) for an instance already known to the engine,
 // without forcing an invariant computation.
 func (e *Engine) SimEntry(inst *spatial.Instance) (simindex.Entry, bool) {
-	if e.sim == nil {
-		return simindex.Entry{}, false
-	}
 	key, err := e.Key(inst)
 	if err != nil {
 		return simindex.Entry{}, false

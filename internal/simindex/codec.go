@@ -158,6 +158,5 @@ func (x *Index) LoadFile(path string) (int, error) {
 	for i := range entries {
 		x.Add(&entries[i])
 	}
-	x.Rebuild()
 	return len(entries), nil
 }

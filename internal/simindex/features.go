@@ -10,8 +10,8 @@
 //     O(1) lookup of every instance topologically equivalent to a probe.
 //   - Approximate tier: a fixed-dimension feature vector extracted from
 //     the invariant (Features) compared under a bottleneck-style L∞
-//     distance (Distance), served by a VP-tree nearest-neighbour index
-//     with an exact-scan fallback (see Index).
+//     distance (Distance), ranked by a linear scan over every entry
+//     (see Index).
 //
 // Every derived quantity — the canonical key, the feature vector and the
 // ranked result order — is answer identity: it must be a pure function of

@@ -47,17 +47,11 @@ type Stats struct {
 }
 
 // Index is the two-tier similarity index. It is safe for concurrent use.
-//
-// The approximate tier keeps a VP-tree over the feature vectors plus a
-// small linear-scanned pending list; the tree is rebuilt (off the write
-// path amortized) once the pending list outgrows half the tree.
+// The approximate tier is an exact linear scan over every live entry.
 type Index struct {
 	mu      sync.RWMutex
 	entries map[string]*Entry   // by ID
 	classes map[string][]string // class → sorted IDs
-	tree    *vpNode
-	treeIDs []string // IDs inside the tree (still live in entries)
-	pending []string // IDs not yet in the tree
 }
 
 // New returns an empty index.
@@ -105,15 +99,11 @@ func (x *Index) Add(e *Entry) {
 		ids[at] = cp.ID
 		x.classes[cp.Class] = ids
 	}
-	x.pending = append(x.pending, cp.ID)
-	x.maybeRebuildLocked()
 	mEntries.Set(int64(len(x.entries)))
 	mClasses.Set(int64(len(x.classes)))
 }
 
-// removeLocked unlinks an entry from the class map; tree occupancy is
-// reconciled lazily (dead IDs are skipped at query time and dropped at the
-// next rebuild).
+// removeLocked unlinks an entry from the entry and class maps.
 func (x *Index) removeLocked(e *Entry) {
 	delete(x.entries, e.ID)
 	if e.Class != "" {
@@ -126,12 +116,6 @@ func (x *Index) removeLocked(e *Entry) {
 			delete(x.classes, e.Class)
 		} else {
 			x.classes[e.Class] = ids
-		}
-	}
-	for i, id := range x.pending {
-		if id == e.ID {
-			x.pending = append(x.pending[:i], x.pending[i+1:]...)
-			break
 		}
 	}
 }
@@ -195,16 +179,6 @@ func (x *Index) Entries() []Entry {
 // (distance, ID). The probe's own ID is excluded, so an indexed instance
 // can probe for its neighbours. k ≤ 0 returns nil.
 func (x *Index) Query(probe *Entry, k int) []Match {
-	return x.query(probe, k, true)
-}
-
-// ScanQuery is the exact-scan reference path: identical results to Query,
-// bypassing the VP-tree. It exists for differential tests and benchmarks.
-func (x *Index) ScanQuery(probe *Entry, k int) []Match {
-	return x.query(probe, k, false)
-}
-
-func (x *Index) query(probe *Entry, k int, accelerated bool) []Match {
 	if k <= 0 || probe == nil {
 		return nil
 	}
@@ -230,245 +204,34 @@ func (x *Index) query(probe *Entry, k int, accelerated bool) []Match {
 	}
 	mExactHits.Add(uint64(len(out)))
 
-	// Approximate tier: k-NN over the remaining capacity, excluding the
-	// probe itself and everything already returned by the exact tier.
-	skip := make(map[string]bool, len(out)+1)
-	skip[probe.ID] = true
-	for _, m := range out {
-		skip[m.ID] = true
-	}
-	want := k - len(out)
-
-	var near []Match
-	if accelerated && x.tree != nil {
-		// Tree search, plus a linear pass over the (small) pending list.
-		near = x.treeKNN(probe.Vec, want, skip)
-		if len(x.pending) > 0 {
-			near = append(near, x.scanKNN(probe.Vec, want, skip, x.pending)...)
-			sortMatches(near)
-			if len(near) > want {
-				near = near[:want]
-			}
-		}
-		mTreeQueries.Inc()
-	} else {
-		ids := make([]string, 0, len(x.entries))
-		//lint:allow determinism(scan candidates are re-ranked by (distance, ID))
-		for id := range x.entries {
-			ids = append(ids, id)
-		}
-		near = x.scanKNN(probe.Vec, want, skip, ids)
-		mScanQueries.Inc()
-	}
-	return append(out, near...)
+	// Approximate tier over the remaining capacity. Reaching it means the
+	// exact tier returned every classmate of the probe.
+	return append(out, x.scanKNN(probe, k-len(out))...)
 }
 
-// scanKNN linearly scans candidate IDs and keeps the best `want` by
-// (distance, ID).
-func (x *Index) scanKNN(v Vector, want int, skip map[string]bool, ids []string) []Match {
-	if want <= 0 {
-		return nil
-	}
-	ms := make([]Match, 0, len(ids))
-	for _, id := range ids {
-		if skip[id] {
-			continue
+// scanKNN scans every live entry except the probe and its exact-tier
+// classmates and keeps the best `want` by (distance, ID).
+func (x *Index) scanKNN(probe *Entry, want int) []Match {
+	ms := make([]Match, 0, len(x.entries))
+	//lint:allow determinism(scan candidates are re-ranked by (distance, ID))
+	for id, e := range x.entries {
+		if id != probe.ID && (probe.Class == "" || e.Class != probe.Class) {
+			ms = append(ms, Match{ID: id, Distance: Distance(probe.Vec, e.Vec)})
 		}
-		e, ok := x.entries[id]
-		if !ok {
-			continue
-		}
-		ms = append(ms, Match{ID: id, Distance: Distance(v, e.Vec)})
 	}
-	sortMatches(ms)
-	if len(ms) > want {
-		ms = ms[:want]
-	}
-	return ms
-}
-
-func sortMatches(ms []Match) {
 	sort.Slice(ms, func(i, j int) bool {
 		if ms[i].Distance != ms[j].Distance {
 			return ms[i].Distance < ms[j].Distance
 		}
 		return ms[i].ID < ms[j].ID
 	})
-}
-
-// maybeRebuildLocked rebuilds the VP-tree when the pending list has grown
-// past max(64, len(tree)/2), amortizing rebuild cost to O(log n) per add.
-func (x *Index) maybeRebuildLocked() {
-	threshold := len(x.treeIDs) / 2
-	if threshold < 64 {
-		threshold = 64
+	if len(ms) > want {
+		ms = ms[:want]
 	}
-	if len(x.pending) <= threshold {
-		return
-	}
-	x.rebuildLocked()
-}
-
-// Rebuild forces a VP-tree rebuild over all live entries (used after bulk
-// loads so the first query doesn't pay a scan over a huge pending list).
-func (x *Index) Rebuild() {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.rebuildLocked()
-}
-
-func (x *Index) rebuildLocked() {
-	done := startTimer(mRebuildLatency)
-	defer done()
-	ids := make([]string, 0, len(x.entries))
-	//lint:allow determinism(IDs are sorted before the deterministic tree build)
-	for id := range x.entries {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	items := make([]vpItem, len(ids))
-	for i, id := range ids {
-		items[i] = vpItem{id: id, vec: x.entries[id].Vec}
-	}
-	x.tree = buildVP(items)
-	x.treeIDs = ids
-	x.pending = x.pending[:0]
-	mRebuilds.Inc()
-}
-
-// --- VP-tree ---
-
-type vpItem struct {
-	id  string
-	vec Vector
-}
-
-type vpNode struct {
-	point  vpItem
-	radius float64
-	inside *vpNode // distance ≤ radius
-	beyond *vpNode // distance > radius
-}
-
-// buildVP builds a vantage-point tree. Determinism: items arrive sorted by
-// ID, the pivot is always the first item and the partition uses a stable
-// sort by (distance to pivot, ID).
-func buildVP(items []vpItem) *vpNode {
-	if len(items) == 0 {
-		return nil
-	}
-	n := &vpNode{point: items[0]}
-	rest := items[1:]
-	if len(rest) == 0 {
-		return n
-	}
-	type distItem struct {
-		vpItem
-		d float64
-	}
-	ds := make([]distItem, len(rest))
-	for i, it := range rest {
-		ds[i] = distItem{vpItem: it, d: Distance(n.point.vec, it.vec)}
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].d != ds[j].d {
-			return ds[i].d < ds[j].d
-		}
-		return ds[i].id < ds[j].id
-	})
-	mid := len(ds) / 2
-	n.radius = ds[mid].d
-	inside := make([]vpItem, 0, mid+1)
-	beyond := make([]vpItem, 0, len(ds)-mid)
-	for _, di := range ds {
-		if di.d <= n.radius {
-			inside = append(inside, di.vpItem)
-		} else {
-			beyond = append(beyond, di.vpItem)
-		}
-	}
-	n.inside = buildVP(inside)
-	n.beyond = buildVP(beyond)
-	return n
-}
-
-// treeKNN runs a tau-pruned k-NN search over the VP-tree. Candidates in
-// `skip` or no longer live in the entry map are passed over without
-// counting toward k.
-func (x *Index) treeKNN(v Vector, k int, skip map[string]bool) []Match {
-	if k <= 0 || x.tree == nil {
-		return nil
-	}
-	h := &matchHeap{}
-	vpSearch(x.tree, v, k, skip, x.entries, h, infDistance)
-	ms := make([]Match, len(*h))
-	copy(ms, *h)
-	sortMatches(ms)
 	return ms
 }
 
-const infDistance = 1e308
-
-// vpSearch descends the tree keeping the k best live candidates in h;
-// returns the updated pruning radius tau (the current k-th best distance).
-func vpSearch(n *vpNode, v Vector, k int, skip map[string]bool, live map[string]*Entry, h *matchHeap, tau float64) float64 {
-	if n == nil {
-		return tau
-	}
-	d := Distance(v, n.point.vec)
-	if !skip[n.point.id] {
-		// A tree point counts only while its stored vector matches the live
-		// entry: a re-added entry's fresh vector lives in the pending list,
-		// and counting the stale copy here would duplicate the ID.
-		if e, ok := live[n.point.id]; ok && e.Vec == n.point.vec {
-			if len(*h) < k {
-				h.push(Match{ID: n.point.id, Distance: d})
-				if len(*h) == k {
-					tau = h.max()
-				}
-			} else if d < tau || (d == tau && n.point.id < h.maxID()) {
-				h.replaceMax(Match{ID: n.point.id, Distance: d})
-				tau = h.max()
-			}
-		}
-	}
-	// Visit the likelier side first, then the other side only if the ball
-	// around v with radius tau crosses the partition boundary.
-	if d <= n.radius {
-		tau = vpSearch(n.inside, v, k, skip, live, h, tau)
-		if d+tau >= n.radius {
-			tau = vpSearch(n.beyond, v, k, skip, live, h, tau)
-		}
-	} else {
-		tau = vpSearch(n.beyond, v, k, skip, live, h, tau)
-		if d-tau <= n.radius {
-			tau = vpSearch(n.inside, v, k, skip, live, h, tau)
-		}
-	}
-	return tau
-}
-
-// matchHeap is a small slice-backed max-selection set: k stays small
-// (capped by the API), so linear max scans beat heap bookkeeping and keep
-// tie-breaking by ID explicit.
-type matchHeap []Match
-
-func (h *matchHeap) push(m Match) { *h = append(*h, m) }
-
-// maxIdx returns the index of the worst element: greatest distance,
-// breaking ties by greatest ID (so equal-distance candidates with smaller
-// IDs win, matching the (distance, ID) ranking order).
-func (h *matchHeap) maxIdx() int {
-	idx := 0
-	for i, m := range *h {
-		w := (*h)[idx]
-		if m.Distance > w.Distance || (m.Distance == w.Distance && m.ID > w.ID) {
-			idx = i
-		}
-	}
-	return idx
-}
-
-func (h *matchHeap) max() float64       { return (*h)[h.maxIdx()].Distance }
-func (h *matchHeap) maxID() string      { return (*h)[h.maxIdx()].ID }
-func (h *matchHeap) replaceMax(m Match) { (*h)[h.maxIdx()] = m }
+// Rebuild does nothing: queries scan the live entries, so there is no
+// search structure to rebuild. It stays only because perfbench's traced
+// replay calls it after loading an index file, and goes with that replay.
+func (x *Index) Rebuild() {}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -67,27 +68,54 @@ func TestIndexExactTierFirst(t *testing.T) {
 	}
 }
 
-func TestIndexQueryMatchesScan(t *testing.T) {
-	// Enough entries to force VP-tree rebuilds (threshold 64).
-	x := synthIndex(300)
-	if x.tree == nil {
-		t.Fatal("tree never built at 300 entries")
+// bruteForce is the ranking contract written out: the probe's exact-tier
+// classmates by ID at distance 0, then every other entry by (distance, ID),
+// the probe excluded, cut to k.
+func bruteForce(x *Index, probe *Entry, k int) []Match {
+	var exact, near []Match
+	for _, e := range x.Entries() { // sorted by ID
+		switch {
+		case e.ID == probe.ID:
+		case probe.Class != "" && e.Class == probe.Class:
+			exact = append(exact, Match{ID: e.ID, Exact: true})
+		default:
+			near = append(near, Match{ID: e.ID, Distance: Distance(probe.Vec, e.Vec)})
+		}
 	}
+	sort.SliceStable(near, func(i, j int) bool { return near[i].Distance < near[j].Distance })
+	out := append(exact, near...)
+	if len(out) > k {
+		out = out[:k]
+	}
+	return out
+}
+
+func TestIndexQueryMatchesScan(t *testing.T) {
+	x := synthIndex(300)
 	for _, probeIdx := range []int{0, 7, 150, 299} {
 		probe := synthEntry(probeIdx)
 		for _, k := range []int{1, 5, 17, 1000} {
-			fast := x.Query(probe, k)
-			slow := x.ScanQuery(probe, k)
-			if !reflect.DeepEqual(fast, slow) {
-				t.Fatalf("probe %d k=%d: tree and scan disagree\ntree: %+v\nscan: %+v", probeIdx, k, fast, slow)
+			got, want := x.Query(probe, k), bruteForce(x, probe, k)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("probe %d k=%d: query and brute force disagree\nquery: %+v\nbrute: %+v", probeIdx, k, got, want)
 			}
 		}
 	}
 	// A probe not in the index at all.
 	foreign := synthEntry(100000)
 	foreign.Class = ""
-	if fast, slow := x.Query(foreign, 9), x.ScanQuery(foreign, 9); !reflect.DeepEqual(fast, slow) {
-		t.Fatalf("foreign probe: tree and scan disagree\ntree: %+v\nscan: %+v", fast, slow)
+	if got, want := x.Query(foreign, 9), bruteForce(x, foreign, 9); !reflect.DeepEqual(got, want) {
+		t.Fatalf("foreign probe: query and brute force disagree\nquery: %+v\nbrute: %+v", got, want)
+	}
+	// Equal distances rank by ID: clones of one vector.
+	y := New()
+	for _, i := range []int{5, 3, 9, 1} {
+		e := synthEntry(i)
+		e.Vec, e.Class = foreign.Vec, ""
+		y.Add(e)
+	}
+	if got, want := y.Query(foreign, 3), bruteForce(y, foreign, 3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tied distances: query and brute force disagree\nquery: %+v\nbrute: %+v", got, want)
 	}
 }
 
@@ -210,7 +238,7 @@ func TestSaveLoadFile(t *testing.T) {
 	}
 	// Queries agree after reload.
 	probe := synthEntry(3)
-	if a, b := x.ScanQuery(probe, 7), y.Query(probe, 7); !reflect.DeepEqual(a, b) {
+	if a, b := x.Query(probe, 7), y.Query(probe, 7); !reflect.DeepEqual(a, b) {
 		t.Fatalf("post-reload queries differ\nwas: %+v\nnow: %+v", a, b)
 	}
 	// Missing file is not an error.

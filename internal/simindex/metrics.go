@@ -24,24 +24,11 @@ var (
 		obs.DefLatencyBuckets)
 	mUpdateLatency = obs.Default.Histogram(
 		"topoinv_simindex_update_seconds",
-		"Index update latency (entry insertion, amortized tree rebuilds included).",
-		obs.DefLatencyBuckets)
-	mRebuildLatency = obs.Default.Histogram(
-		"topoinv_simindex_rebuild_seconds",
-		"VP-tree rebuild latency.",
+		"Index update latency (entry insertion).",
 		obs.DefLatencyBuckets)
 	mExactHits = obs.Default.Counter(
 		"topoinv_simindex_exact_matches_total",
 		"Matches served by the exact tier (O(1) equivalence-class lookup).")
-	mTreeQueries = obs.Default.Counter(
-		"topoinv_simindex_tree_queries_total",
-		"Approximate-tier queries answered through the VP-tree.")
-	mScanQueries = obs.Default.Counter(
-		"topoinv_simindex_scan_queries_total",
-		"Approximate-tier queries answered by the exact-scan fallback.")
-	mRebuilds = obs.Default.Counter(
-		"topoinv_simindex_rebuilds_total",
-		"VP-tree rebuilds triggered by pending-list growth or bulk loads.")
 )
 
 // startTimer returns a stop function observing the elapsed wall time into
