@@ -113,8 +113,7 @@ func runMeasure(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	name := inst.Schema().Names()[0]
-	query := topoinv.NonEmpty(name)
+	query := topoinv.NonEmpty(measureRegion(inst))
 	s, err := parseStrategy(*strategy)
 	if err != nil {
 		log.Fatal(err)
@@ -124,6 +123,19 @@ func runMeasure(args []string) {
 		log.Fatalf("query with strategy %s: %v", *strategy, err)
 	}
 	fmt.Printf("query %s with strategy %s: %v\n", query, s, ans)
+}
+
+// measureRegion names the region measure's query asks about: the first in
+// schema order that has features, so that the answer is not a trivial
+// false, or the first region when every one is empty.
+func measureRegion(inst *topoinv.Instance) string {
+	names := inst.Schema().Names()
+	for _, n := range names {
+		if !inst.Region(n).IsEmpty() {
+			return n
+		}
+	}
+	return names[0]
 }
 
 var strategies = map[string]topoinv.Strategy{

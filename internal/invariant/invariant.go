@@ -9,7 +9,8 @@
 // it, and the full cyclic order (both orientations) of the cells incident to
 // each vertex.  By the results the paper imports from PSV99 it characterises
 // the instance up to homeomorphism (Theorem 2.1) and can be inverted into a
-// topologically equivalent linear instance (Theorem 2.2, package linearize).
+// topologically equivalent linear instance (Theorem 2.2,
+// translate.InvertToLinear).
 //
 // The Invariant type carries no coordinates: everything downstream of Compute
 // (queries, translations, linearisation) works from the combinatorial data

@@ -202,9 +202,9 @@ func (inv *Invariant) Fingerprint() string {
 	var parts []string
 	parts = append(parts, fmt.Sprintf("V=%d;E=%d;F=%d", len(inv.Vertices), len(inv.Edges), len(inv.Faces)))
 
+	names := inv.Schema.Names()
+	sort.Strings(names)
 	signKey := func(m map[string]Sign) string {
-		names := inv.Schema.Names()
-		sort.Strings(names)
 		var b strings.Builder
 		for _, n := range names {
 			b.WriteString(m[n].String())

@@ -2,7 +2,7 @@
 // topological queries on the invariant instead of the raw spatial data:
 //
 //   - Lemma 3.1 / Theorem 3.2: construction of the parameterised total orders
-//     of a topological invariant (BuildOrders), which is how fixpoint
+//     of a topological invariant (BuildComponentOrders), which is how fixpoint
 //     captures PTIME on invariants of connected regions;
 //   - Theorem 3.4: construction of a canonical isomorphic copy of the
 //     invariant over the ordered auxiliary domain (CanonicalCode), the
@@ -23,8 +23,9 @@
 package translate
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cones"
@@ -57,9 +58,9 @@ type CellOrder struct {
 // parameter choice yields one order; the number of orders is polynomial in
 // the component size.
 func BuildComponentOrders(inv *invariant.Invariant, comp *invariant.Component) []CellOrder {
-	var orders []CellOrder
+	params := orderParameters(inv, comp)
+	orders := make([]CellOrder, 0, 2*len(params))
 	for _, cw := range []bool{false, true} {
-		params := orderParameters(inv, comp)
 		for _, p := range params {
 			orders = append(orders, buildOneOrder(inv, comp, cw, p[0], p[1]))
 		}
@@ -107,187 +108,116 @@ func orderParameters(inv *invariant.Invariant, comp *invariant.Component) [][2]i
 // tie-breaking, then faces by their sets of incident edges; vertices precede
 // edges precede faces.
 func buildOneOrder(inv *invariant.Invariant, comp *invariant.Component, cw bool, startV, startE int) CellOrder {
-	order := CellOrder{Clockwise: cw, StartVertex: startV, StartEdge: startE}
-
-	inComp := map[int]bool{}
-	for _, v := range comp.Vertices {
-		inComp[v] = true
-	}
-	vertexRank := map[int]int{}
+	vertexRank := make(map[int]int, len(comp.Vertices))
 	var vertexSeq []int
-
+	visit := func(v int) bool {
+		if _, seen := vertexRank[v]; seen {
+			return false
+		}
+		vertexRank[v] = len(vertexSeq)
+		vertexSeq = append(vertexSeq, v)
+		return true
+	}
 	if startV >= 0 {
 		// Rotation-guided BFS over proper edges.
 		type qitem struct{ v, e int }
-		queue := []qitem{{startV, startE}}
-		vertexRank[startV] = 0
-		vertexSeq = append(vertexSeq, startV)
-		for len(queue) > 0 {
+		visit(startV)
+		for queue := []qitem{{startV, startE}}; len(queue) > 0; queue = queue[1:] {
 			it := queue[0]
-			queue = queue[1:]
-			for _, e := range rotatedProperEdges(inv, it.v, it.e, cw) {
-				w := otherEndpoint(inv, e, it.v)
-				if w < 0 {
-					continue
-				}
-				if _, seen := vertexRank[w]; !seen {
-					vertexRank[w] = len(vertexSeq)
-					vertexSeq = append(vertexSeq, w)
+			for _, e := range rotation(inv, it.v, it.e, cw) {
+				if w := otherEndpoint(inv, e, it.v); inv.Edges[e].IsProper() && visit(w) {
 					queue = append(queue, qitem{w, e})
 				}
 			}
 		}
-		// Any vertices of the component not reached through proper edges
-		// (possible only in degenerate cases) follow in index order.
-		for _, v := range comp.Vertices {
-			if _, seen := vertexRank[v]; !seen {
-				vertexRank[v] = len(vertexSeq)
-				vertexSeq = append(vertexSeq, v)
-			}
-		}
-	} else {
-		for _, v := range comp.Vertices {
-			vertexRank[v] = len(vertexSeq)
-			vertexSeq = append(vertexSeq, v)
-		}
+	}
+	// Vertices not reached through proper edges (all of them when there is
+	// no start vertex) follow in index order.
+	for _, v := range comp.Vertices {
+		visit(v)
 	}
 
 	// Edges: lexicographic by ranked endpoints; ties (multi-edges and loops)
 	// broken by their position in the rotation at their smaller endpoint,
 	// starting from the start edge; free loops last, in index order.
-	edges := append([]int(nil), comp.Edges...)
-	rankOfEdge := func(e int) (int, int, int) {
+	type edgeKey struct{ r1, r2, pos, e int }
+	edges := make([]edgeKey, len(comp.Edges))
+	for i, e := range comp.Edges {
 		info := inv.Edges[e]
 		if info.IsFreeLoop() {
-			return 1 << 30, 1 << 30, e
+			edges[i] = edgeKey{1 << 30, 1 << 30, e, e}
+			continue
 		}
-		r1, r2 := vertexRank[info.V1], vertexRank[info.V2]
+		r1, r2, v := vertexRank[info.V1], vertexRank[info.V2], info.V1
 		if r2 < r1 {
-			r1, r2 = r2, r1
+			r1, r2, v = r2, r1, info.V2
 		}
-		// Rotational position at the vertex of smaller rank.
-		v := info.V1
-		if vertexRank[info.V2] < vertexRank[info.V1] {
-			v = info.V2
-		}
-		pos := rotationPosition(inv, v, e, startE, cw)
-		return r1, r2, pos
+		edges[i] = edgeKey{r1, r2, max(slices.Index(rotation(inv, v, startE, cw), e), 0), e}
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		a1, a2, a3 := rankOfEdge(edges[i])
-		b1, b2, b3 := rankOfEdge(edges[j])
-		if a1 != b1 {
-			return a1 < b1
-		}
-		if a2 != b2 {
-			return a2 < b2
-		}
-		if a3 != b3 {
-			return a3 < b3
-		}
-		return edges[i] < edges[j]
+	slices.SortFunc(edges, func(a, b edgeKey) int {
+		return cmp.Or(cmp.Compare(a.r1, b.r1), cmp.Compare(a.r2, b.r2), cmp.Compare(a.pos, b.pos), cmp.Compare(a.e, b.e))
 	})
-	edgeRank := map[int]int{}
-	for i, e := range edges {
-		edgeRank[e] = i
+	edgeRank := make(map[invariant.CellRef]int, len(edges))
+	for i, k := range edges {
+		edgeRank[invariant.CellRef{Kind: invariant.EdgeCell, Index: k.e}] = i
 	}
 
 	// Faces of the component, ordered by the sorted list of ranks of their
-	// incident edges restricted to the component.
-	faces := append([]int(nil), comp.Faces...)
-	faceKey := func(f int) string {
-		var ranks []int
-		for _, e := range inv.Faces[f].Edges {
-			if r, ok := edgeRank[e]; ok {
-				ranks = append(ranks, r)
-			}
-		}
-		sort.Ints(ranks)
-		return fmt.Sprint(ranks)
+	// incident edges restricted to the component.  The lists compare as
+	// printed strings, so "[1 10]" precedes "[1 9]".
+	type faceKey struct {
+		ranks string
+		f     int
 	}
-	sort.Slice(faces, func(i, j int) bool {
-		ki, kj := faceKey(faces[i]), faceKey(faces[j])
-		if ki != kj {
-			return ki < kj
-		}
-		return faces[i] < faces[j]
+	faces := make([]faceKey, len(comp.Faces))
+	for i, f := range comp.Faces {
+		faces[i] = faceKey{fmt.Sprint(faceEdgeRanks(inv, f, edgeRank)), f}
+	}
+	slices.SortFunc(faces, func(a, b faceKey) int {
+		return cmp.Or(strings.Compare(a.ranks, b.ranks), cmp.Compare(a.f, b.f))
 	})
 
+	order := CellOrder{Clockwise: cw, StartVertex: startV, StartEdge: startE}
 	for _, v := range vertexSeq {
 		order.Cells = append(order.Cells, invariant.CellRef{Kind: invariant.VertexCell, Index: v})
 	}
-	for _, e := range edges {
-		order.Cells = append(order.Cells, invariant.CellRef{Kind: invariant.EdgeCell, Index: e})
+	for _, k := range edges {
+		order.Cells = append(order.Cells, invariant.CellRef{Kind: invariant.EdgeCell, Index: k.e})
 	}
-	for _, f := range faces {
-		order.Cells = append(order.Cells, invariant.CellRef{Kind: invariant.FaceCell, Index: f})
+	for _, k := range faces {
+		order.Cells = append(order.Cells, invariant.CellRef{Kind: invariant.FaceCell, Index: k.f})
 	}
 	return order
 }
 
-// rotatedProperEdges lists the proper edges adjacent to v in the rotational
-// order (counterclockwise or clockwise) starting from edge from (when from is
-// adjacent to v; otherwise starting from the first cone position).
-func rotatedProperEdges(inv *invariant.Invariant, v, from int, cw bool) []int {
+// rotation lists the edges of v's cone in ω order (counterclockwise, or
+// clockwise when cw), starting from edge from when the cone has it and from
+// the first cone position otherwise.  A loop at v occurs twice.
+func rotation(inv *invariant.Invariant, v, from int, cw bool) []int {
 	cone := inv.Vertices[v].Cone
-	var edgesInOrder []int
+	edges := make([]int, 0, len(cone))
 	for _, c := range cone {
 		if c.Kind == invariant.EdgeCell {
-			edgesInOrder = append(edgesInOrder, c.Index)
+			edges = append(edges, c.Index)
 		}
 	}
 	if cw {
-		for i, j := 0, len(edgesInOrder)-1; i < j; i, j = i+1, j-1 {
-			edgesInOrder[i], edgesInOrder[j] = edgesInOrder[j], edgesInOrder[i]
-		}
+		slices.Reverse(edges)
 	}
-	start := 0
-	for i, e := range edgesInOrder {
-		if e == from {
-			start = i
-			break
-		}
-	}
-	var out []int
-	seen := map[int]bool{}
-	for i := 0; i < len(edgesInOrder); i++ {
-		e := edgesInOrder[(start+i)%len(edgesInOrder)]
-		if !seen[e] && inv.Edges[e].IsProper() {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	return out
+	start := max(slices.Index(edges, from), 0)
+	return append(edges[start:], edges[:start]...)
 }
 
-// rotationPosition returns the position of edge e in the rotation at vertex v
-// starting from edge from (0 if not found).
-func rotationPosition(inv *invariant.Invariant, v, e, from int, cw bool) int {
-	cone := inv.Vertices[v].Cone
-	var edgesInOrder []int
-	for _, c := range cone {
-		if c.Kind == invariant.EdgeCell {
-			edgesInOrder = append(edgesInOrder, c.Index)
+// faceEdgeRanks returns the ranks of face f's edges that rank holds, sorted.
+func faceEdgeRanks(inv *invariant.Invariant, f int, rank map[invariant.CellRef]int) []int {
+	var ranks []int
+	for _, e := range inv.Faces[f].Edges {
+		if r, ok := rank[invariant.CellRef{Kind: invariant.EdgeCell, Index: e}]; ok {
+			ranks = append(ranks, r)
 		}
 	}
-	if cw {
-		for i, j := 0, len(edgesInOrder)-1; i < j; i, j = i+1, j-1 {
-			edgesInOrder[i], edgesInOrder[j] = edgesInOrder[j], edgesInOrder[i]
-		}
-	}
-	start := 0
-	for i, x := range edgesInOrder {
-		if x == from {
-			start = i
-			break
-		}
-	}
-	for i := 0; i < len(edgesInOrder); i++ {
-		if edgesInOrder[(start+i)%len(edgesInOrder)] == e {
-			return i
-		}
-	}
-	return 0
+	slices.Sort(ranks)
+	return ranks
 }
 
 func otherEndpoint(inv *invariant.Invariant, e, v int) int {
@@ -308,13 +238,13 @@ func otherEndpoint(inv *invariant.Invariant, e, v int) int {
 // tree, children sorted by their codes (isomorphic siblings are counted).
 func CanonicalCode(inv *invariant.Invariant) string {
 	cs := inv.Components()
+	names := inv.Schema.Names()
+	slices.Sort(names)
 	var encode func(compID int) string
 	encode = func(compID int) string {
-		comp := cs.List[compID]
 		best := ""
-		for _, o := range BuildComponentOrders(inv, comp) {
-			enc := encodeComponent(inv, comp, o)
-			if best == "" || enc < best {
+		for _, o := range BuildComponentOrders(inv, cs.List[compID]) {
+			if enc := encodeComponent(inv, names, o); best == "" || enc < best {
 				best = enc
 			}
 		}
@@ -328,25 +258,32 @@ func CanonicalCode(inv *invariant.Invariant) string {
 		for _, child := range cs.Children(compID) {
 			childCodes = append(childCodes, encode(child))
 		}
-		sort.Strings(childCodes)
+		slices.Sort(childCodes)
 		return best + "[" + strings.Join(childCodes, "|") + "]"
 	}
 	var tops []string
 	for _, c := range cs.Children(-1) {
 		tops = append(tops, encode(c))
 	}
-	sort.Strings(tops)
+	slices.Sort(tops)
 	return "{" + strings.Join(tops, "|") + "}"
 }
 
-// encodeComponent serialises the component's relations relative to one order.
-func encodeComponent(inv *invariant.Invariant, comp *invariant.Component, o CellOrder) string {
-	rank := map[string]int{}
+// encodeComponent serialises a component's relations relative to one of its
+// orders; names are the schema's region names, sorted.
+func encodeComponent(inv *invariant.Invariant, names []string, o CellOrder) string {
+	rank := make(map[invariant.CellRef]int, len(o.Cells))
 	for i, c := range o.Cells {
-		rank[c.String()] = i
+		rank[c] = i
 	}
-	names := inv.Schema.Names()
-	sort.Strings(names)
+	// An edge endpoint that is absent (-1) or outside the order encodes as
+	// -1; a cone cell outside the order encodes as 0.
+	endpoint := func(v int) int {
+		if r, ok := rank[invariant.CellRef{Kind: invariant.VertexCell, Index: v}]; ok {
+			return r
+		}
+		return -1
+	}
 	var b strings.Builder
 	for _, c := range o.Cells {
 		b.WriteString(c.Kind.String()[:1])
@@ -356,41 +293,22 @@ func encodeComponent(inv *invariant.Invariant, comp *invariant.Component, o Cell
 		switch c.Kind {
 		case invariant.EdgeCell:
 			e := inv.Edges[c.Index]
-			fmt.Fprintf(&b, "(%d,%d)", rankOrMinus(rank, invariant.CellRef{Kind: invariant.VertexCell, Index: e.V1}, e.V1), rankOrMinus(rank, invariant.CellRef{Kind: invariant.VertexCell, Index: e.V2}, e.V2))
+			fmt.Fprintf(&b, "(%d,%d)", endpoint(e.V1), endpoint(e.V2))
 		case invariant.VertexCell:
-			v := inv.Vertices[c.Index]
 			b.WriteString("<")
-			for _, cc := range v.Cone {
-				fmt.Fprintf(&b, "%d,", rank[cc.String()])
+			for _, cc := range inv.Vertices[c.Index].Cone {
+				fmt.Fprintf(&b, "%d,", rank[cc])
 			}
 			b.WriteString(">")
 		case invariant.FaceCell:
-			f := inv.Faces[c.Index]
-			var es []int
-			for _, e := range f.Edges {
-				if r, ok := rank[(invariant.CellRef{Kind: invariant.EdgeCell, Index: e}).String()]; ok {
-					es = append(es, r)
-				}
-			}
-			sort.Ints(es)
-			fmt.Fprintf(&b, "%v", es)
-			if f.Exterior {
+			fmt.Fprintf(&b, "%v", faceEdgeRanks(inv, c.Index, rank))
+			if inv.Faces[c.Index].Exterior {
 				b.WriteString("X")
 			}
 		}
 		b.WriteString(";")
 	}
 	return b.String()
-}
-
-func rankOrMinus(rank map[string]int, ref invariant.CellRef, idx int) int {
-	if idx < 0 {
-		return -1
-	}
-	if r, ok := rank[ref.String()]; ok {
-		return r
-	}
-	return -1
 }
 
 // --- Theorem 2.2 (restricted): inversion -----------------------------------------
