@@ -200,6 +200,7 @@ func BenchmarkEngineInvariant(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			e := topoinv.NewEngine()
 			if _, err := e.Invariant(inst); err != nil {
@@ -208,6 +209,7 @@ func BenchmarkEngineInvariant(b *testing.B) {
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
+		b.ReportAllocs()
 		e := topoinv.NewEngine()
 		if _, err := e.Invariant(inst); err != nil {
 			b.Fatal(err)
@@ -286,6 +288,7 @@ func BenchmarkCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("encode-instance", func(b *testing.B) {
+		b.ReportAllocs()
 		var n int
 		for i := 0; i < b.N; i++ {
 			data, err := topoinv.Encode(inst)
@@ -297,6 +300,7 @@ func BenchmarkCodec(b *testing.B) {
 		b.ReportMetric(float64(n), "bytes")
 	})
 	b.Run("decode-instance", func(b *testing.B) {
+		b.ReportAllocs()
 		data, err := topoinv.Encode(inst)
 		if err != nil {
 			b.Fatal(err)
@@ -309,6 +313,7 @@ func BenchmarkCodec(b *testing.B) {
 		}
 	})
 	b.Run("encode-invariant", func(b *testing.B) {
+		b.ReportAllocs()
 		var n int
 		for i := 0; i < b.N; i++ {
 			data, err := topoinv.EncodeInvariant(inv)
@@ -320,6 +325,7 @@ func BenchmarkCodec(b *testing.B) {
 		b.ReportMetric(float64(n), "bytes")
 	})
 	b.Run("decode-invariant", func(b *testing.B) {
+		b.ReportAllocs()
 		data, err := topoinv.EncodeInvariant(inv)
 		if err != nil {
 			b.Fatal(err)

@@ -33,7 +33,6 @@ package arrangement
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/geom"
@@ -98,10 +97,13 @@ type CellRef struct {
 
 func (c CellRef) String() string { return fmt.Sprintf("%s#%d", c.Kind, c.Index) }
 
-// Vertex is a 0-cell of the complex.
-type Vertex struct {
-	ID    int
-	Point geom.Point
+// VertexInfo, EdgeInfo and FaceInfo are the cells' combinatorial records:
+// incidences and sign classes, no coordinates.  The topological invariant
+// keeps them as its own records (invariant.FromComplex).  A record's Sign
+// holds one sign class per region, indexed by schema position.
+
+// VertexInfo is the combinatorial data of a 0-cell.
+type VertexInfo struct {
 	// Cone is the cyclic (counterclockwise) sequence of cells incident to
 	// the vertex, alternating edge, face, edge, face, …  Faces may repeat.
 	// It is empty for isolated vertices and has length 2 (edge, face) for
@@ -113,42 +115,72 @@ type Vertex struct {
 	Face int
 	// Isolated reports whether the vertex has no incident edges.
 	Isolated bool
-	// Sign maps region names to the vertex's sign class.
-	Sign map[string]Sign
+	// Sign is the vertex's sign class per region, in schema order.
+	Sign []Sign
 }
 
 // Degree returns the number of edge incidences at the vertex (a loop counts
 // twice).
-func (v *Vertex) Degree() int { return len(v.Cone) / 2 }
+func (v *VertexInfo) Degree() int { return len(v.Cone) / 2 }
 
-// Edge is a 1-cell: a maximal open curve of the decomposition.
-// Its geometry is the polyline Chain.  V1/V2 are the endpoint vertex IDs:
+// EdgeInfo is the combinatorial data of a 1-cell.  V1/V2 are the endpoint
+// vertex IDs:
 //   - ordinary edge: V1 and V2 are distinct (a "proper edge" in the paper);
 //   - loop: V1 == V2 (a closed curve through exactly one vertex);
 //   - free loop: V1 == V2 == -1 (a closed curve with no vertex on it).
-type Edge struct {
-	ID     int
+type EdgeInfo struct {
 	V1, V2 int
-	Chain  []geom.Point
-	// Closed reports whether the geometry is a closed curve (loop or free
-	// loop); the chain then starts and ends at the same point.
+	// Closed reports whether the edge is a closed curve (loop or free loop).
 	Closed bool
 	// Faces are the IDs of the faces incident to the edge (one or two
 	// distinct values).
 	Faces []int
-	// Sign maps region names to the edge's sign class.
-	Sign map[string]Sign
+	// Sign is the edge's sign class per region, in schema order.
+	Sign []Sign
 }
 
 // IsProper reports whether the edge connects two distinct vertices
 // (the paper's "proper edge").
-func (e *Edge) IsProper() bool { return e.V1 >= 0 && e.V2 >= 0 && e.V1 != e.V2 }
+func (e *EdgeInfo) IsProper() bool { return e.V1 >= 0 && e.V2 >= 0 && e.V1 != e.V2 }
 
 // IsLoop reports whether the edge is a loop at a single vertex.
-func (e *Edge) IsLoop() bool { return e.V1 >= 0 && e.V1 == e.V2 }
+func (e *EdgeInfo) IsLoop() bool { return e.V1 >= 0 && e.V1 == e.V2 }
 
 // IsFreeLoop reports whether the edge is a closed curve with no vertices.
-func (e *Edge) IsFreeLoop() bool { return e.V1 < 0 && e.V2 < 0 }
+func (e *EdgeInfo) IsFreeLoop() bool { return e.V1 < 0 && e.V2 < 0 }
+
+// FaceInfo is the combinatorial data of a 2-cell.
+type FaceInfo struct {
+	// Exterior reports whether this is the unbounded exterior face.
+	Exterior bool
+	// Edges are the IDs of edges on the face's boundary.
+	Edges []int
+	// Vertices are the IDs of vertices adjacent to the face (on its
+	// boundary or isolated inside it).
+	Vertices []int
+	// IsolatedVertices are the IDs of isolated vertices lying inside the
+	// face (a subset of Vertices).
+	IsolatedVertices []int
+	// Sign is the face's sign class per region, in schema order (never
+	// Boundary).
+	Sign []Sign
+}
+
+// Vertex is a 0-cell of the complex: its record and its point.
+type Vertex struct {
+	ID    int
+	Point geom.Point
+	VertexInfo
+}
+
+// Edge is a 1-cell: a maximal open curve of the decomposition.  Its
+// geometry is the polyline Chain; when the edge is Closed, the chain starts
+// and ends at the same point.
+type Edge struct {
+	ID    int
+	Chain []geom.Point
+	EdgeInfo
+}
 
 // Midpoint returns a representative point on the open edge.
 func (e *Edge) Midpoint() geom.Point {
@@ -159,23 +191,11 @@ func (e *Edge) Midpoint() geom.Point {
 	return geom.Mid(e.Chain[i-1], e.Chain[i])
 }
 
-// Face is a 2-cell.
+// Face is a 2-cell: its record and a point strictly inside it (Rep).
 type Face struct {
-	ID int
-	// Exterior reports whether this is the unbounded exterior face.
-	Exterior bool
-	// Rep is a point strictly inside the face.
+	ID  int
 	Rep geom.Point
-	// Edges are the IDs of edges on the face's boundary.
-	Edges []int
-	// Vertices are the IDs of vertices adjacent to the face (on its
-	// boundary or isolated inside it).
-	Vertices []int
-	// IsolatedVertices are the IDs of isolated vertices lying inside the
-	// face (a subset of Vertices).
-	IsolatedVertices []int
-	// Sign maps region names to the face's sign class (never Boundary).
-	Sign map[string]Sign
+	FaceInfo
 }
 
 // Complex is the maximum topological cell decomposition of a spatial
@@ -203,29 +223,6 @@ type Stats struct {
 	IntersectionOps  int
 	MaxLinesPerPoint int
 	AvgLinesPerPoint float64
-}
-
-// Cell returns sign information for an arbitrary cell reference.
-func (c *Complex) Cell(ref CellRef) (map[string]Sign, error) {
-	switch ref.Kind {
-	case VertexCell:
-		if ref.Index < 0 || ref.Index >= len(c.Vertices) {
-			return nil, fmt.Errorf("arrangement: vertex %d out of range", ref.Index)
-		}
-		return c.Vertices[ref.Index].Sign, nil
-	case EdgeCell:
-		if ref.Index < 0 || ref.Index >= len(c.Edges) {
-			return nil, fmt.Errorf("arrangement: edge %d out of range", ref.Index)
-		}
-		return c.Edges[ref.Index].Sign, nil
-	case FaceCell:
-		if ref.Index < 0 || ref.Index >= len(c.Faces) {
-			return nil, fmt.Errorf("arrangement: face %d out of range", ref.Index)
-		}
-		return c.Faces[ref.Index].Sign, nil
-	default:
-		return nil, fmt.Errorf("arrangement: unknown cell kind %v", ref.Kind)
-	}
 }
 
 // Build computes the maximum topological cell decomposition of the instance.
@@ -282,11 +279,4 @@ func fillDegreeStats(cx *Complex) {
 	if count > 0 {
 		cx.Stats.AvgLinesPerPoint = float64(total) / float64(count)
 	}
-}
-
-// SortedRegionNames returns the schema's region names in sorted order.
-func (c *Complex) SortedRegionNames() []string {
-	names := c.Schema.Names()
-	sort.Strings(names)
-	return names
 }

@@ -64,12 +64,12 @@ func TestSingleRectangle(t *testing.T) {
 		t.Fatalf("faces = %d, want 2", len(cx.Faces))
 	}
 	// Signs.
-	if cx.Edges[0].Sign["P"] != Boundary {
-		t.Errorf("edge sign = %v, want boundary", cx.Edges[0].Sign["P"])
+	if signIn(cx, cx.Edges[0].Sign, "P") != Boundary {
+		t.Errorf("edge sign = %v, want boundary", signIn(cx, cx.Edges[0].Sign, "P"))
 	}
 	var interiorFaces, exteriorFaces int
 	for _, f := range cx.Faces {
-		switch f.Sign["P"] {
+		switch signIn(cx, f.Sign, "P") {
 		case Interior:
 			interiorFaces++
 			if f.Exterior {
@@ -83,7 +83,7 @@ func TestSingleRectangle(t *testing.T) {
 		t.Errorf("interior faces %d exterior faces %d, want 1/1", interiorFaces, exteriorFaces)
 	}
 	ext := cx.Faces[cx.ExteriorFace]
-	if !ext.Exterior || ext.Sign["P"] != Exterior {
+	if !ext.Exterior || signIn(cx, ext.Sign, "P") != Exterior {
 		t.Error("exterior face wrong")
 	}
 	// The boundary edge is incident to both faces.
@@ -114,7 +114,7 @@ func TestAnnulus(t *testing.T) {
 	}
 	interior, exterior := 0, 0
 	for _, f := range cx.Faces {
-		if f.Sign["P"] == Interior {
+		if signIn(cx, f.Sign, "P") == Interior {
 			interior++
 		} else {
 			exterior++
@@ -185,7 +185,7 @@ func TestTwoOverlappingRectanglesTwoRegions(t *testing.T) {
 	// Face sign classes: exactly one face interior to both regions.
 	both := 0
 	for _, f := range cx.Faces {
-		if f.Sign["P"] == Interior && f.Sign["Q"] == Interior {
+		if signIn(cx, f.Sign, "P") == Interior && signIn(cx, f.Sign, "Q") == Interior {
 			both++
 		}
 	}
@@ -194,7 +194,7 @@ func TestTwoOverlappingRectanglesTwoRegions(t *testing.T) {
 	}
 	// Vertex sign: the crossing points are on both boundaries.
 	for _, v := range cx.Vertices {
-		if v.Sign["P"] != Boundary || v.Sign["Q"] != Boundary {
+		if signIn(cx, v.Sign, "P") != Boundary || signIn(cx, v.Sign, "Q") != Boundary {
 			t.Errorf("vertex %v signs = %v, want boundary/boundary", v.Point, v.Sign)
 		}
 	}
@@ -216,8 +216,8 @@ func TestIsolatedPointFeatures(t *testing.T) {
 	if !v.Point.Equal(geom.Pt(10, 10)) || !v.Isolated {
 		t.Errorf("kept vertex = %+v, want isolated (10,10)", v)
 	}
-	if v.Sign["P"] != Boundary {
-		t.Errorf("isolated point sign = %v, want boundary", v.Sign["P"])
+	if signIn(cx, v.Sign, "P") != Boundary {
+		t.Errorf("isolated point sign = %v, want boundary", signIn(cx, v.Sign, "P"))
 	}
 	if v.Face != cx.ExteriorFace {
 		t.Errorf("isolated point face = %d, want exterior %d", v.Face, cx.ExteriorFace)
@@ -243,7 +243,7 @@ func TestPointOfOtherRegionOnBoundary(t *testing.T) {
 	if !v.Point.Equal(geom.Pt(2, 0)) {
 		t.Errorf("vertex at %v, want (2,0)", v.Point)
 	}
-	if v.Sign["P"] != Boundary || v.Sign["Q"] != Boundary {
+	if signIn(cx, v.Sign, "P") != Boundary || signIn(cx, v.Sign, "Q") != Boundary {
 		t.Errorf("vertex sign = %v", v.Sign)
 	}
 	if len(cx.Edges) != 1 || !cx.Edges[0].IsLoop() {
@@ -285,7 +285,7 @@ func TestPolylineCrossingRectangle(t *testing.T) {
 	// The inside line piece is interior to P and boundary of L.
 	foundInsideLine := false
 	for _, e := range cx.Edges {
-		if e.Sign["P"] == Interior && e.Sign["L"] == Boundary {
+		if signIn(cx, e.Sign, "P") == Interior && signIn(cx, e.Sign, "L") == Boundary {
 			foundInsideLine = true
 		}
 	}
@@ -325,7 +325,7 @@ func TestAntennaInsideFace(t *testing.T) {
 	}
 	// The antenna edge has the exterior face on both sides.
 	for _, e := range cx.Edges {
-		if e.Sign["L"] == Boundary {
+		if signIn(cx, e.Sign, "L") == Boundary {
 			if len(e.Faces) != 1 || e.Faces[0] != cx.ExteriorFace {
 				t.Errorf("antenna edge faces = %v, want only the exterior face", e.Faces)
 			}
@@ -376,7 +376,7 @@ func TestNestedSquaresDifferentRegions(t *testing.T) {
 	// The innermost face is interior to both; the middle face only to P.
 	counts := map[[2]Sign]int{}
 	for _, f := range cx.Faces {
-		counts[[2]Sign{f.Sign["P"], f.Sign["Q"]}]++
+		counts[[2]Sign{signIn(cx, f.Sign, "P"), signIn(cx, f.Sign, "Q")}]++
 	}
 	if counts[[2]Sign{Interior, Interior}] != 1 ||
 		counts[[2]Sign{Interior, Exterior}] != 1 ||
@@ -386,7 +386,7 @@ func TestNestedSquaresDifferentRegions(t *testing.T) {
 	// Q's boundary edge is interior to P.
 	okQ := false
 	for _, e := range cx.Edges {
-		if e.Sign["Q"] == Boundary && e.Sign["P"] == Interior {
+		if signIn(cx, e.Sign, "Q") == Boundary && signIn(cx, e.Sign, "P") == Interior {
 			okQ = true
 		}
 	}
@@ -434,7 +434,7 @@ func TestSharedBoundarySegmentTwoRegions(t *testing.T) {
 	}
 	shared := false
 	for _, e := range cx.Edges {
-		if e.Sign["P"] == Boundary && e.Sign["Q"] == Boundary {
+		if signIn(cx, e.Sign, "P") == Boundary && signIn(cx, e.Sign, "Q") == Boundary {
 			shared = true
 		}
 	}
@@ -522,18 +522,18 @@ func TestFaceEdgeConsistency(t *testing.T) {
 			}
 		}
 	}
-	// Cone entries reference valid cells, and cone edges include the vertex
-	// as an endpoint.
+	// Cone entries reference valid edges and faces, and cone edges include
+	// the vertex as an endpoint.
 	for _, v := range cx.Vertices {
 		for _, c := range v.Cone {
-			if _, err := cx.Cell(c); err != nil {
-				t.Errorf("vertex %d cone references invalid cell %v", v.ID, c)
-			}
-			if c.Kind == EdgeCell {
-				e := cx.Edges[c.Index]
-				if e.V1 != v.ID && e.V2 != v.ID {
+			switch {
+			case c.Kind == EdgeCell && c.Index >= 0 && c.Index < len(cx.Edges):
+				if e := cx.Edges[c.Index]; e.V1 != v.ID && e.V2 != v.ID {
 					t.Errorf("vertex %d cone edge %d does not end at it", v.ID, e.ID)
 				}
+			case c.Kind == FaceCell && c.Index >= 0 && c.Index < len(cx.Faces):
+			default:
+				t.Errorf("vertex %d cone references invalid cell %v", v.ID, c)
 			}
 		}
 	}

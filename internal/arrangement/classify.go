@@ -79,14 +79,14 @@ func (fc *fullComplex) classify() {
 	}
 
 	// Faces.
-	fc.faceSign = make([]map[string]Sign, len(fc.faces))
+	fc.faceSign = make([][]Sign, len(fc.faces))
 	for _, f := range fc.faces {
 		oddSet := make(map[int]bool, len(odd[f.id]))
 		for _, r := range odd[f.id] {
 			oddSet[r] = true
 		}
-		m := make(map[string]Sign, len(names))
-		for ri, name := range names {
+		m := make([]Sign, len(names))
+		for ri := range names {
 			sign := Exterior
 			for _, af := range src.areaFeats[ri] {
 				if !oddSet[af.outer] {
@@ -104,7 +104,7 @@ func (fc *fullComplex) classify() {
 					break
 				}
 			}
-			m[name] = sign
+			m[ri] = sign
 		}
 		fc.faceSign[f.id] = m
 	}
@@ -112,19 +112,19 @@ func (fc *fullComplex) classify() {
 	// Edges.  An uncovered edge never meets the region's boundary (its open
 	// interior contains no vertex and crosses no boundary edge), so both
 	// incident faces carry the same sign and the edge inherits it.
-	fc.segSign = make([]map[string]Sign, len(sub.segments))
+	fc.segSign = make([][]Sign, len(sub.segments))
 	for i := range sub.segments {
 		lf, rf := fc.heFace[2*i], fc.heFace[2*i+1]
-		m := make(map[string]Sign, len(names))
-		for ri, name := range names {
+		m := make([]Sign, len(names))
+		for ri := range names {
 			if !containsInt(covered[i], ri) {
-				m[name] = fc.faceSign[lf][name]
+				m[ri] = fc.faceSign[lf][ri]
 				continue
 			}
-			if fc.faceSign[lf][name] == Interior && fc.faceSign[rf][name] == Interior {
-				m[name] = Interior
+			if fc.faceSign[lf][ri] == Interior && fc.faceSign[rf][ri] == Interior {
+				m[ri] = Interior
 			} else {
-				m[name] = Boundary
+				m[ri] = Boundary
 			}
 		}
 		fc.segSign[i] = m
@@ -133,31 +133,31 @@ func (fc *fullComplex) classify() {
 	// Vertices.  A vertex is in the closed region iff it is a point feature
 	// of the region, an endpoint of a covered edge, or inside an interior
 	// face (with no incident covered edge, all incident faces agree).
-	fc.vertexSign = make([]map[string]Sign, len(sub.points))
+	fc.vertexSign = make([][]Sign, len(sub.points))
 	for v := range sub.points {
 		out := fc.vertexOut[v]
 		ptRegs := src.pointRegs[sub.points[v].Key()]
-		m := make(map[string]Sign, len(names))
-		for ri, name := range names {
+		m := make([]Sign, len(names))
+		for ri := range names {
 			isPt := containsInt(ptRegs, ri)
 			if len(out) == 0 {
 				switch {
-				case fc.faceSign[fc.vertexFace[v]][name] == Interior:
-					m[name] = Interior
+				case fc.faceSign[fc.vertexFace[v]][ri] == Interior:
+					m[ri] = Interior
 				case isPt:
-					m[name] = Boundary
+					m[ri] = Boundary
 				default:
-					m[name] = Exterior
+					m[ri] = Exterior
 				}
 				continue
 			}
 			interior := true
 			coveredAny := false
 			for _, h := range out {
-				if fc.faceSign[fc.heFace[h]][name] != Interior {
+				if fc.faceSign[fc.heFace[h]][ri] != Interior {
 					interior = false
 				}
-				if fc.segSign[segOf(h)][name] == Exterior {
+				if fc.segSign[segOf(h)][ri] == Exterior {
 					interior = false
 				}
 				if containsInt(covered[segOf(h)], ri) {
@@ -165,14 +165,14 @@ func (fc *fullComplex) classify() {
 				}
 			}
 			contains := isPt || coveredAny ||
-				fc.faceSign[fc.heFace[out[0]]][name] == Interior
+				fc.faceSign[fc.heFace[out[0]]][ri] == Interior
 			switch {
 			case !contains:
-				m[name] = Exterior
+				m[ri] = Exterior
 			case interior:
-				m[name] = Interior
+				m[ri] = Interior
 			default:
-				m[name] = Boundary
+				m[ri] = Boundary
 			}
 		}
 		fc.vertexSign[v] = m
@@ -209,17 +209,4 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// signEqual reports whether two sign maps agree on every region.
-func signEqual(a, b map[string]Sign) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }

@@ -38,10 +38,10 @@ type fullComplex struct {
 	cols      map[string][]int
 	cycleFace []int
 
-	// Sign classes (filled by classify).
-	vertexSign []map[string]Sign
-	segSign    []map[string]Sign // per sub-segment
-	faceSign   []map[string]Sign
+	// Sign classes in schema order (filled by classify).
+	vertexSign [][]Sign
+	segSign    [][]Sign // per sub-segment
+	faceSign   [][]Sign
 }
 
 type cycleInfo struct {

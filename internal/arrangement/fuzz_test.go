@@ -157,16 +157,11 @@ func encodeFeature(f region.Feature) []byte {
 	}
 }
 
-// signSummary renders a sign map deterministically.
-func signSummary(m map[string]Sign) string {
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+// signSummary renders a cell's signs with their region names.
+func signSummary(names []string, signs []Sign) string {
 	s := ""
-	for _, n := range names {
-		s += n + "=" + m[n].String() + ";"
+	for i, n := range names {
+		s += n + "=" + signs[i].String() + ";"
 	}
 	return s
 }
@@ -174,8 +169,9 @@ func signSummary(m map[string]Sign) string {
 // complexSummary flattens a complex into three sorted string multisets that
 // are invariant under cell renumbering and chain orientation.
 func complexSummary(cx *Complex) (verts, edges, faces []string) {
+	names := cx.Schema.Names()
 	for _, v := range cx.Vertices {
-		verts = append(verts, v.Point.Key()+"|"+signSummary(v.Sign))
+		verts = append(verts, v.Point.Key()+"|"+signSummary(names, v.Sign))
 	}
 	for _, e := range cx.Edges {
 		anchor := e.Chain[0].Key()
@@ -185,10 +181,10 @@ func complexSummary(cx *Complex) (verts, edges, faces []string) {
 			}
 		}
 		edges = append(edges, fmt.Sprintf("%s|n=%d|closed=%v|%s",
-			anchor, len(e.Chain), e.Closed, signSummary(e.Sign)))
+			anchor, len(e.Chain), e.Closed, signSummary(names, e.Sign)))
 	}
 	for _, f := range cx.Faces {
-		faces = append(faces, fmt.Sprintf("ext=%v|%s", f.ID == cx.ExteriorFace, signSummary(f.Sign)))
+		faces = append(faces, fmt.Sprintf("ext=%v|%s", f.ID == cx.ExteriorFace, signSummary(names, f.Sign)))
 	}
 	sort.Strings(verts)
 	sort.Strings(edges)
@@ -301,6 +297,8 @@ func checkAgainstReference(t *testing.T, inst *spatial.Instance) {
 	}
 	checkFaceReps(t, "sweep", inst, a)
 	checkFaceReps(t, "naive", inst, b)
+	checkWitnessesDistinct(t, "sweep", a)
+	checkWitnessesDistinct(t, "naive", b)
 }
 
 // TestSweepAndReferenceAgreeOnWorkloads runs the fuzz target's comparison on
@@ -344,7 +342,7 @@ func checkFaceReps(t *testing.T, which string, inst *spatial.Instance, cx *Compl
 				}
 			}
 		}
-		for _, name := range inst.Schema().Names() {
+		for ri, name := range inst.Schema().Names() {
 			r := inst.Region(name)
 			want := Exterior
 			switch {
@@ -353,10 +351,34 @@ func checkFaceReps(t *testing.T, which string, inst *spatial.Instance, cx *Compl
 			case r.ContainsInterior(f.Rep):
 				want = Interior
 			}
-			if got := f.Sign[name]; got != want {
+			if got := f.Sign[ri]; got != want {
 				t.Fatalf("%s: face %d rep %v: sign in %s is %v, location says %v", which, f.ID, f.Rep, name, got, want)
 			}
 		}
+	}
+}
+
+// checkWitnessesDistinct requires the cells' witnesses — vertex points,
+// edge midpoints and face representatives — to be pairwise distinct.  The
+// point sample takes one witness per cell and keeps them all, so two cells
+// sharing a witness would put one point in the sample twice.
+func checkWitnessesDistinct(t *testing.T, which string, cx *Complex) {
+	t.Helper()
+	seen := make(map[string]CellRef)
+	add := func(p geom.Point, c CellRef) {
+		if prev, dup := seen[p.Key()]; dup {
+			t.Fatalf("%s: %v and %v share the witness %v", which, prev, c, p)
+		}
+		seen[p.Key()] = c
+	}
+	for _, v := range cx.Vertices {
+		add(v.Point, CellRef{VertexCell, v.ID})
+	}
+	for _, e := range cx.Edges {
+		add(e.Midpoint(), CellRef{EdgeCell, e.ID})
+	}
+	for _, f := range cx.Faces {
+		add(f.Rep, CellRef{FaceCell, f.ID})
 	}
 }
 

@@ -108,9 +108,9 @@ func TestSweepFindsGridMissedCrossing(t *testing.T) {
 		for _, v := range cx.Vertices {
 			if v.Point.Equal(want) {
 				found = true
-				if v.Sign["H"] != Boundary || v.Sign["V"] != Boundary {
+				if signIn(cx, v.Sign, "H") != Boundary || signIn(cx, v.Sign, "V") != Boundary {
 					t.Errorf("%s: crossing vertex signs H=%v V=%v, want boundary/boundary",
-						tc.name, v.Sign["H"], v.Sign["V"])
+						tc.name, signIn(cx, v.Sign, "H"), signIn(cx, v.Sign, "V"))
 				}
 			}
 		}

@@ -1,6 +1,7 @@
 package arrangement
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -31,7 +32,7 @@ func reduce(fc *fullComplex) *Complex {
 	segDeleted := make([]bool, nSegs)
 	for s := 0; s < nSegs; s++ {
 		lf, rf := fc.heFace[2*s], fc.heFace[2*s+1]
-		if signEqual(fc.segSign[s], fc.faceSign[lf]) && signEqual(fc.segSign[s], fc.faceSign[rf]) {
+		if slices.Equal(fc.segSign[s], fc.faceSign[lf]) && slices.Equal(fc.segSign[s], fc.faceSign[rf]) {
 			segDeleted[s] = true
 			faceUF.union(lf, rf)
 		}
@@ -60,16 +61,16 @@ func reduce(fc *fullComplex) *Complex {
 	for v := 0; v < nPts; v++ {
 		switch len(liveOut[v]) {
 		case 0:
-			// Merged faces share sign classes, so the class root's sign map
-			// is representative.
-			if signEqual(fc.vertexSign[v], fc.faceSign[containingFace(v)]) {
+			// Merged faces share sign classes, so the class root's signs
+			// are representative.
+			if slices.Equal(fc.vertexSign[v], fc.faceSign[containingFace(v)]) {
 				dropped[v] = true
 			} else {
 				kept[v] = true
 			}
 		case 2:
 			s1, s2 := segOf(liveOut[v][0]), segOf(liveOut[v][1])
-			if !signEqual(fc.vertexSign[v], fc.segSign[s1]) || !signEqual(fc.vertexSign[v], fc.segSign[s2]) {
+			if !slices.Equal(fc.vertexSign[v], fc.segSign[s1]) || !slices.Equal(fc.vertexSign[v], fc.segSign[s2]) {
 				kept[v] = true
 			}
 		default:
@@ -100,7 +101,7 @@ func reduce(fc *fullComplex) *Complex {
 		}
 		id := len(cx.Faces)
 		faceID[root] = id
-		nf := &Face{ID: id, Rep: fc.faces[fid].rep, Sign: fc.faceSign[fid]}
+		nf := &Face{ID: id, Rep: fc.faces[fid].rep, FaceInfo: FaceInfo{Sign: fc.faceSign[fid]}}
 		if faceUF.find(fc.exteriorFace) == root {
 			nf.Exterior = true
 			nf.Rep = fc.faces[fc.exteriorFace].rep
@@ -123,10 +124,12 @@ func reduce(fc *fullComplex) *Complex {
 		id := len(cx.Vertices)
 		vertexID[v] = id
 		cx.Vertices = append(cx.Vertices, &Vertex{
-			ID:       id,
-			Point:    fc.sub.points[v],
-			Isolated: len(liveOut[v]) == 0,
-			Sign:     fc.vertexSign[v],
+			ID:    id,
+			Point: fc.sub.points[v],
+			VertexInfo: VertexInfo{
+				Isolated: len(liveOut[v]) == 0,
+				Sign:     fc.vertexSign[v],
+			},
 		})
 	}
 
@@ -185,7 +188,7 @@ func reduce(fc *fullComplex) *Complex {
 		}
 		endV := v
 
-		e := &Edge{ID: len(cx.Edges), Chain: chainPts, Sign: fc.segSign[startS]}
+		e := &Edge{ID: len(cx.Edges), Chain: chainPts, EdgeInfo: EdgeInfo{Sign: fc.segSign[startS]}}
 		switch {
 		case !kept[startV] && endV == startV:
 			e.V1, e.V2 = -1, -1

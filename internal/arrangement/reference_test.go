@@ -249,49 +249,49 @@ func (fc *fullComplex) classifyByLocation(inst *spatial.Instance) {
 	names := inst.Schema().Names()
 
 	// Faces.
-	fc.faceSign = make([]map[string]Sign, len(fc.faces))
+	fc.faceSign = make([][]Sign, len(fc.faces))
 	for _, f := range fc.faces {
-		m := make(map[string]Sign, len(names))
-		for _, name := range names {
+		m := make([]Sign, len(names))
+		for ri, name := range names {
 			if inst.Region(name).Contains(f.rep) {
-				m[name] = Interior
+				m[ri] = Interior
 			} else {
-				m[name] = Exterior
+				m[ri] = Exterior
 			}
 		}
 		fc.faceSign[f.id] = m
 	}
 
 	// Edges (sub-segments).
-	fc.segSign = make([]map[string]Sign, len(fc.sub.segments))
+	fc.segSign = make([][]Sign, len(fc.sub.segments))
 	for i, s := range fc.sub.segments {
 		mid := geom.Mid(fc.sub.points[s.a], fc.sub.points[s.b])
 		leftFace := fc.heFace[2*i]
 		rightFace := fc.heFace[2*i+1]
-		m := make(map[string]Sign, len(names))
-		for _, name := range names {
+		m := make([]Sign, len(names))
+		for ri, name := range names {
 			if !inst.Region(name).Contains(mid) {
-				m[name] = Exterior
+				m[ri] = Exterior
 				continue
 			}
-			if fc.faceSign[leftFace][name] == Interior && fc.faceSign[rightFace][name] == Interior {
-				m[name] = Interior
+			if fc.faceSign[leftFace][ri] == Interior && fc.faceSign[rightFace][ri] == Interior {
+				m[ri] = Interior
 			} else {
-				m[name] = Boundary
+				m[ri] = Boundary
 			}
 		}
 		fc.segSign[i] = m
 	}
 
 	// Vertices.
-	fc.vertexSign = make([]map[string]Sign, len(fc.sub.points))
+	fc.vertexSign = make([][]Sign, len(fc.sub.points))
 	for v := range fc.sub.points {
 		p := fc.sub.points[v]
-		m := make(map[string]Sign, len(names))
+		m := make([]Sign, len(names))
 		out := fc.vertexOut[v]
-		for _, name := range names {
+		for ri, name := range names {
 			if !inst.Region(name).Contains(p) {
-				m[name] = Exterior
+				m[ri] = Exterior
 				continue
 			}
 			interior := true
@@ -300,25 +300,25 @@ func (fc *fullComplex) classifyByLocation(inst *spatial.Instance) {
 				// interior (then a neighbourhood minus the point is in the
 				// region, and so is the point).
 				f, ok := fc.vertexFace[v]
-				if !ok || fc.faceSign[f][name] != Interior {
+				if !ok || fc.faceSign[f][ri] != Interior {
 					interior = false
 				}
 			} else {
 				for _, h := range out {
-					if fc.faceSign[fc.heFace[h]][name] != Interior {
+					if fc.faceSign[fc.heFace[h]][ri] != Interior {
 						interior = false
 						break
 					}
-					if fc.segSign[segOf(h)][name] == Exterior {
+					if fc.segSign[segOf(h)][ri] == Exterior {
 						interior = false
 						break
 					}
 				}
 			}
 			if interior {
-				m[name] = Interior
+				m[ri] = Interior
 			} else {
-				m[name] = Boundary
+				m[ri] = Boundary
 			}
 		}
 		fc.vertexSign[v] = m

@@ -19,8 +19,8 @@
 //     denominator) or tag 1 (big path: sign byte, uvarint magnitude length,
 //     big-endian numerator magnitude, then the positive denominator the same
 //     way);
-//   - maps keyed by region name are serialized in schema order, so encoding
-//     is deterministic for a fixed schema enumeration.
+//   - a cell's sign classes are one byte per region, in schema order, so
+//     encoding is deterministic for a fixed schema enumeration.
 //
 // Decoding validates the header, bounds-checks every index and rejects
 // trailing garbage, so Decode(Encode(x)) is a structural identity and
@@ -139,8 +139,8 @@ func DecodeInstance(data []byte) (*spatial.Instance, error) {
 	return inst, nil
 }
 
-// EncodeInvariant serializes the invariant.  Sign maps are written in schema
-// order, so the encoding is deterministic.
+// EncodeInvariant serializes the invariant.  Each cell's signs are written
+// in schema order, so the encoding is deterministic.
 func EncodeInvariant(inv *invariant.Invariant) ([]byte, error) {
 	if inv == nil {
 		return nil, fmt.Errorf("codec: nil invariant")
@@ -162,21 +162,21 @@ func EncodeInvariant(inv *invariant.Invariant) ([]byte, error) {
 		}
 		w.uvarint(uint64(v.Face))
 		w.bool(v.Isolated)
-		w.signs(names, v.Sign)
+		w.signs(v.Sign)
 	}
 	for _, e := range inv.Edges {
 		w.varint(int64(e.V1))
 		w.varint(int64(e.V2))
 		w.bool(e.Closed)
 		w.intSlice(e.Faces)
-		w.signs(names, e.Sign)
+		w.signs(e.Sign)
 	}
 	for _, f := range inv.Faces {
 		w.bool(f.Exterior)
 		w.intSlice(f.Edges)
 		w.intSlice(f.Vertices)
 		w.intSlice(f.IsolatedVertices)
-		w.signs(names, f.Sign)
+		w.signs(f.Sign)
 	}
 	return w.bytes(), nil
 }
@@ -243,7 +243,7 @@ func DecodeInvariant(data []byte) (*invariant.Invariant, error) {
 		if v.Isolated, err = r.bool(); err != nil {
 			return nil, err
 		}
-		if v.Sign, err = r.signs(names); err != nil {
+		if v.Sign, err = r.signs(len(names)); err != nil {
 			return nil, err
 		}
 		inv.Vertices[i] = v
@@ -263,7 +263,7 @@ func DecodeInvariant(data []byte) (*invariant.Invariant, error) {
 		if e.Faces, err = r.intSlice(); err != nil {
 			return nil, err
 		}
-		if e.Sign, err = r.signs(names); err != nil {
+		if e.Sign, err = r.signs(len(names)); err != nil {
 			return nil, err
 		}
 		inv.Edges[i] = e
@@ -283,7 +283,7 @@ func DecodeInvariant(data []byte) (*invariant.Invariant, error) {
 		if f.IsolatedVertices, err = r.intSlice(); err != nil {
 			return nil, err
 		}
-		if f.Sign, err = r.signs(names); err != nil {
+		if f.Sign, err = r.signs(len(names)); err != nil {
 			return nil, err
 		}
 		inv.Faces[i] = f
@@ -404,10 +404,10 @@ func (w *writer) cellRef(c invariant.CellRef) {
 	w.varint(int64(c.Index))
 }
 
-// signs writes the sign map in schema order: one byte per region name.
-func (w *writer) signs(names []string, m map[string]invariant.Sign) {
-	for _, n := range names {
-		w.buf = append(w.buf, byte(m[n]))
+// signs writes a cell's signs, one byte per region in schema order.
+func (w *writer) signs(signs []invariant.Sign) {
+	for _, s := range signs {
+		w.buf = append(w.buf, byte(s))
 	}
 }
 
@@ -704,9 +704,10 @@ func (r *reader) cellRef() (invariant.CellRef, error) {
 	return invariant.CellRef{Kind: k, Index: idx}, nil
 }
 
-func (r *reader) signs(names []string) (map[string]invariant.Sign, error) {
-	m := make(map[string]invariant.Sign, len(names))
-	for _, n := range names {
+// signs reads the n sign bytes of one cell, in schema order.
+func (r *reader) signs(n int) ([]invariant.Sign, error) {
+	out := make([]invariant.Sign, n)
+	for i := range out {
 		b, err := r.byte()
 		if err != nil {
 			return nil, err
@@ -715,7 +716,7 @@ func (r *reader) signs(names []string) (map[string]invariant.Sign, error) {
 		if s != invariant.Exterior && s != invariant.Boundary && s != invariant.Interior {
 			return nil, fmt.Errorf("codec: bad sign byte %d", b)
 		}
-		m[n] = s
+		out[i] = s
 	}
-	return m, nil
+	return out, nil
 }

@@ -110,7 +110,8 @@ func (c Cycle) Validate() error {
 // coloured cycle per vertex.  It fails if the schema has more than one region
 // (the translation of Theorem 4.9 only exists for single-region schemas).
 func Extract(inv *invariant.Invariant, regionName string) ([]Cycle, error) {
-	if !inv.Schema.Has(regionName) {
+	r := inv.Schema.Index(regionName)
+	if r < 0 {
 		return nil, fmt.Errorf("cones: region %q not in schema", regionName)
 	}
 	if inv.Schema.Size() != 1 {
@@ -121,7 +122,7 @@ func Extract(inv *invariant.Invariant, regionName string) ([]Cycle, error) {
 		if len(v.Cone) == 0 {
 			// Isolated vertex: a single face label.
 			lbl := FaceOut
-			if inv.Faces[v.Face].Sign[regionName] != invariant.Exterior {
+			if inv.Faces[v.Face].Sign[r] != invariant.Exterior {
 				lbl = FaceIn
 			}
 			out = append(out, Cycle{Labels: []Label{lbl}})
@@ -133,7 +134,7 @@ func Extract(inv *invariant.Invariant, regionName string) ([]Cycle, error) {
 			case invariant.EdgeCell:
 				labels = append(labels, EdgeLabel)
 			case invariant.FaceCell:
-				if inv.Faces[ref.Index].Sign[regionName] != invariant.Exterior {
+				if inv.Faces[ref.Index].Sign[r] != invariant.Exterior {
 					labels = append(labels, FaceIn)
 				} else {
 					labels = append(labels, FaceOut)

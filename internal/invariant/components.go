@@ -236,15 +236,15 @@ func computeComponents(inv *Invariant) *Components {
 	}
 
 	// Region incidence per component.
-	for _, name := range inv.Schema.Names() {
+	for ri, name := range inv.Schema.Names() {
 		seen := map[int]bool{}
 		for v, info := range inv.Vertices {
-			if info.Sign[name] != Exterior {
+			if info.Sign[ri] != Exterior {
 				seen[comps.OfVertex[v]] = true
 			}
 		}
 		for e, info := range inv.Edges {
-			if info.Sign[name] != Exterior {
+			if info.Sign[ri] != Exterior {
 				seen[comps.OfEdge[e]] = true
 			}
 		}

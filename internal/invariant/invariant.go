@@ -48,58 +48,16 @@ const (
 // CellRef identifies a cell of the invariant.
 type CellRef = arrangement.CellRef
 
-// VertexInfo is the combinatorial data of a 0-cell.
-type VertexInfo struct {
-	// Cone is the counterclockwise cyclic sequence of incident cells,
-	// alternating edge, face, edge, face, …; empty for isolated vertices.
-	Cone []CellRef
-	// Face is the face adjacent to (or containing, for isolated vertices)
-	// the vertex.
-	Face int
-	// Isolated reports whether the vertex has no incident edges.
-	Isolated bool
-	// Sign maps region names to the vertex sign class.
-	Sign map[string]Sign
-}
-
-// Degree returns the number of edge incidences (a loop counts twice).
-func (v *VertexInfo) Degree() int { return len(v.Cone) / 2 }
-
-// EdgeInfo is the combinatorial data of a 1-cell.
-type EdgeInfo struct {
-	// V1, V2 are the endpoint vertices; -1/-1 for a free loop (a closed
-	// 1-cell with no endpoints); equal for a loop.
-	V1, V2 int
-	// Closed reports whether the edge is a closed curve.
-	Closed bool
-	// Faces lists the incident faces (one or two).
-	Faces []int
-	// Sign maps region names to the edge sign class.
-	Sign map[string]Sign
-}
-
-// IsProper reports whether the edge has two distinct endpoints.
-func (e *EdgeInfo) IsProper() bool { return e.V1 >= 0 && e.V2 >= 0 && e.V1 != e.V2 }
-
-// IsLoop reports whether the edge is a loop at one vertex.
-func (e *EdgeInfo) IsLoop() bool { return e.V1 >= 0 && e.V1 == e.V2 }
-
-// IsFreeLoop reports whether the edge is a closed curve with no vertices.
-func (e *EdgeInfo) IsFreeLoop() bool { return e.V1 < 0 }
-
-// FaceInfo is the combinatorial data of a 2-cell.
-type FaceInfo struct {
-	// Exterior reports whether this is the unbounded face.
-	Exterior bool
-	// Edges lists the edges on the face's boundary.
-	Edges []int
-	// Vertices lists the vertices adjacent to the face.
-	Vertices []int
-	// IsolatedVertices lists vertices isolated inside the face.
-	IsolatedVertices []int
-	// Sign maps region names to the face sign class.
-	Sign map[string]Sign
-}
+// The cell records are the complex's own: the invariant keeps each cell's
+// incidences and signs and forgets its coordinates.
+type (
+	// VertexInfo is the combinatorial data of a 0-cell.
+	VertexInfo = arrangement.VertexInfo
+	// EdgeInfo is the combinatorial data of a 1-cell.
+	EdgeInfo = arrangement.EdgeInfo
+	// FaceInfo is the combinatorial data of a 2-cell.
+	FaceInfo = arrangement.FaceInfo
+)
 
 // Invariant is the topological invariant top(I) of a spatial instance.
 type Invariant struct {
@@ -133,49 +91,34 @@ func MustCompute(inst *spatial.Instance) *Invariant {
 	return inv
 }
 
-// FromComplex converts a cell complex into its combinatorial invariant.
+// FromComplex converts a cell complex into its combinatorial invariant.  It
+// copies each cell's record and shares the record's slices with the complex,
+// which nothing modifies after Build.  The copy (not a pointer into the
+// complex's cell) lets the geometry be collected while the invariant lives.
 func FromComplex(cx *arrangement.Complex) *Invariant {
 	inv := &Invariant{
 		Schema:       cx.Schema,
+		Vertices:     make([]*VertexInfo, len(cx.Vertices)),
+		Edges:        make([]*EdgeInfo, len(cx.Edges)),
+		Faces:        make([]*FaceInfo, len(cx.Faces)),
 		ExteriorFace: cx.ExteriorFace,
 	}
-	for _, v := range cx.Vertices {
-		cone := make([]CellRef, len(v.Cone))
-		copy(cone, v.Cone)
-		inv.Vertices = append(inv.Vertices, &VertexInfo{
-			Cone:     cone,
-			Face:     v.Face,
-			Isolated: v.Isolated,
-			Sign:     copySign(v.Sign),
-		})
+	vs := make([]VertexInfo, len(cx.Vertices))
+	for i, v := range cx.Vertices {
+		vs[i] = v.VertexInfo
+		inv.Vertices[i] = &vs[i]
 	}
-	for _, e := range cx.Edges {
-		inv.Edges = append(inv.Edges, &EdgeInfo{
-			V1:     e.V1,
-			V2:     e.V2,
-			Closed: e.Closed,
-			Faces:  append([]int(nil), e.Faces...),
-			Sign:   copySign(e.Sign),
-		})
+	es := make([]EdgeInfo, len(cx.Edges))
+	for i, e := range cx.Edges {
+		es[i] = e.EdgeInfo
+		inv.Edges[i] = &es[i]
 	}
-	for _, f := range cx.Faces {
-		inv.Faces = append(inv.Faces, &FaceInfo{
-			Exterior:         f.Exterior,
-			Edges:            append([]int(nil), f.Edges...),
-			Vertices:         append([]int(nil), f.Vertices...),
-			IsolatedVertices: append([]int(nil), f.IsolatedVertices...),
-			Sign:             copySign(f.Sign),
-		})
+	fs := make([]FaceInfo, len(cx.Faces))
+	for i, f := range cx.Faces {
+		fs[i] = f.FaceInfo
+		inv.Faces[i] = &fs[i]
 	}
 	return inv
-}
-
-func copySign(m map[string]Sign) map[string]Sign {
-	out := make(map[string]Sign, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }
 
 // CellCount returns the total number of cells — the paper's unit for
@@ -190,31 +133,17 @@ func (inv *Invariant) InvariantBytes(bytesPerCell int) int {
 	return inv.CellCount() * bytesPerCell
 }
 
-// Contained reports whether the given cell is contained in the named region.
-func (inv *Invariant) Contained(ref CellRef, name string) bool {
+// Signs returns the cell's sign classes, indexed by schema position.
+func (inv *Invariant) Signs(ref CellRef) []Sign {
 	switch ref.Kind {
 	case VertexCell:
-		return inv.Vertices[ref.Index].Sign[name] != Exterior
+		return inv.Vertices[ref.Index].Sign
 	case EdgeCell:
-		return inv.Edges[ref.Index].Sign[name] != Exterior
+		return inv.Edges[ref.Index].Sign
 	case FaceCell:
-		return inv.Faces[ref.Index].Sign[name] != Exterior
+		return inv.Faces[ref.Index].Sign
 	default:
-		return false
-	}
-}
-
-// SignOf returns the sign class of a cell with respect to a region.
-func (inv *Invariant) SignOf(ref CellRef, name string) Sign {
-	switch ref.Kind {
-	case VertexCell:
-		return inv.Vertices[ref.Index].Sign[name]
-	case EdgeCell:
-		return inv.Edges[ref.Index].Sign[name]
-	case FaceCell:
-		return inv.Faces[ref.Index].Sign[name]
-	default:
-		return Exterior
+		return nil
 	}
 }
 

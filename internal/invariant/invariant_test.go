@@ -37,15 +37,15 @@ func TestRectangleInvariant(t *testing.T) {
 	if !inv.Edges[0].IsFreeLoop() {
 		t.Error("boundary should be a free loop")
 	}
-	// Containment of cells in P.
-	if !inv.Contained(CellRef{Kind: EdgeCell, Index: 0}, "P") {
-		t.Error("boundary edge should be contained in P")
+	// Containment of cells in P, schema position 0.
+	if inv.Signs(CellRef{Kind: EdgeCell, Index: 0})[0] != Boundary {
+		t.Error("boundary edge should be on P's boundary")
 	}
 	interiorFaces := 0
 	for i := range inv.Faces {
-		if inv.Contained(CellRef{Kind: FaceCell, Index: i}, "P") {
+		if s := inv.Signs(CellRef{Kind: FaceCell, Index: i})[0]; s != Exterior {
 			interiorFaces++
-			if inv.SignOf(CellRef{Kind: FaceCell, Index: i}, "P") != Interior {
+			if s != Interior {
 				t.Error("contained face should be interior")
 			}
 		}

@@ -143,20 +143,20 @@ func (inv *Invariant) ToStructure() *relational.Structure {
 			faceVertex.Add(inv.FaceElem(i), inv.VertexElem(v))
 		}
 	}
-	for _, name := range inv.Schema.Names() {
+	for ri, name := range inv.Schema.Names() {
 		rel := regionRels[name]
 		for i, v := range inv.Vertices {
-			if v.Sign[name] != Exterior {
+			if v.Sign[ri] != Exterior {
 				rel.Add(inv.VertexElem(i))
 			}
 		}
 		for i, e := range inv.Edges {
-			if e.Sign[name] != Exterior {
+			if e.Sign[ri] != Exterior {
 				rel.Add(inv.EdgeElem(i))
 			}
 		}
 		for i, f := range inv.Faces {
-			if f.Sign[name] != Exterior {
+			if f.Sign[ri] != Exterior {
 				rel.Add(inv.FaceElem(i))
 			}
 		}
@@ -202,12 +202,11 @@ func (inv *Invariant) Fingerprint() string {
 	var parts []string
 	parts = append(parts, fmt.Sprintf("V=%d;E=%d;F=%d", len(inv.Vertices), len(inv.Edges), len(inv.Faces)))
 
-	names := inv.Schema.Names()
-	sort.Strings(names)
-	signKey := func(m map[string]Sign) string {
+	order := inv.Schema.SortedIndexes()
+	signKey := func(signs []Sign) string {
 		var b strings.Builder
-		for _, n := range names {
-			b.WriteString(m[n].String())
+		for _, r := range order {
+			b.WriteString(signs[r].String())
 		}
 		return b.String()
 	}

@@ -178,7 +178,7 @@ func Size(f PointFormula) int {
 
 // Sample is the finite set of representative points used to evaluate
 // quantifiers: one witness per cell of the maximum topological cell
-// decomposition plus exterior witnesses.
+// decomposition, the exterior face included.
 //
 // Alongside the points it carries the membership matrix: one closed-region
 // and one interior column per region, read straight off each point's cell
@@ -209,22 +209,16 @@ func BuildSample(inst *spatial.Instance) (*Sample, error) {
 }
 
 // SampleFromComplex derives the representative sample — points and
-// membership matrix — from an existing cell complex.
+// membership matrix — from an existing cell complex.  Cells are disjoint
+// and each witness lies in its own cell, so the witnesses are distinct, and
+// the complex always has the exterior face, so the sample is never empty.
 func SampleFromComplex(cx *arrangement.Complex) *Sample {
-	s := &Sample{}
-	if cx.Schema != nil {
-		s.Regions = cx.SortedRegionNames()
-	}
-	// Signs are collected per point first (cell count is only known after
-	// dedup), then packed into columns.
-	var signs []map[string]arrangement.Sign
-	seen := map[string]bool{}
-	add := func(p geom.Point, sign map[string]arrangement.Sign) {
-		if !seen[p.Key()] {
-			seen[p.Key()] = true
-			s.Points = append(s.Points, p)
-			signs = append(signs, sign)
-		}
+	n := len(cx.Vertices) + len(cx.Edges) + len(cx.Faces)
+	s := &Sample{Points: make([]geom.Point, 0, n)}
+	signs := make([][]arrangement.Sign, 0, n)
+	add := func(p geom.Point, sign []arrangement.Sign) {
+		s.Points = append(s.Points, p)
+		signs = append(signs, sign)
 	}
 	for _, v := range cx.Vertices {
 		add(v.Point, v.Sign)
@@ -235,18 +229,16 @@ func SampleFromComplex(cx *arrangement.Complex) *Sample {
 	for _, f := range cx.Faces {
 		add(f.Rep, f.Sign)
 	}
-	if len(s.Points) == 0 {
-		// Degenerate all-empty instance: one exterior witness, member of
-		// nothing (the nil sign map below reads as Exterior everywhere).
-		add(geom.Pt(0, 0), nil)
-	}
-	n := len(s.Points)
-	s.In = make([]bitset, len(s.Regions))
-	s.Interior = make([]bitset, len(s.Regions))
-	for r, name := range s.Regions {
+	names := cx.Schema.Names()
+	order := cx.Schema.SortedIndexes()
+	s.Regions = make([]string, len(order))
+	s.In = make([]bitset, len(order))
+	s.Interior = make([]bitset, len(order))
+	for r, ri := range order {
+		s.Regions[r] = names[ri]
 		in, interior := newBitset(n), newBitset(n)
 		for i, sign := range signs {
-			switch sign[name] {
+			switch sign[ri] {
 			case arrangement.Interior:
 				in.set(i)
 				interior.set(i)

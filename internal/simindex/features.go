@@ -77,9 +77,9 @@ const (
 )
 
 // Features extracts the feature vector of an invariant. The result is a
-// pure function of the invariant's combinatorial structure (it never
-// depends on region names beyond the schema's sorted order, nor on any map
-// iteration order).
+// pure function of the invariant's combinatorial structure and its schema
+// order (featRegionCells sums over regions in schema order), and never
+// depends on map iteration order.
 func Features(inv *invariant.Invariant) Vector {
 	var v Vector
 
@@ -191,32 +191,32 @@ func Features(inv *invariant.Invariant) Vector {
 	}
 
 	// Per-region occupancy: mean over schema regions of the fraction of
-	// cells contained in the region's extent. Names() is sorted, and the
-	// mean is order-independent anyway.
-	names := inv.Schema.Names()
-	if len(names) > 0 && nV+nE+nF > 0 {
+	// cells contained in the region's extent. The float sum runs in schema
+	// order and must stay so: it is persisted in SIMINDEX.bin, and summing
+	// in another order changes its last bit on some permuted schemas.
+	if nr := inv.Schema.Size(); nr > 0 && nV+nE+nF > 0 {
 		totalCells := float64(nV + nE + nF)
 		sum := 0.0
-		for _, name := range names {
+		for r := range nr {
 			in := 0
-			for i := range inv.Vertices {
-				if inv.Contained(invariant.CellRef{Kind: invariant.VertexCell, Index: i}, name) {
+			for _, c := range inv.Vertices {
+				if c.Sign[r] != invariant.Exterior {
 					in++
 				}
 			}
-			for i := range inv.Edges {
-				if inv.Contained(invariant.CellRef{Kind: invariant.EdgeCell, Index: i}, name) {
+			for _, c := range inv.Edges {
+				if c.Sign[r] != invariant.Exterior {
 					in++
 				}
 			}
-			for i := range inv.Faces {
-				if inv.Contained(invariant.CellRef{Kind: invariant.FaceCell, Index: i}, name) {
+			for _, c := range inv.Faces {
+				if c.Sign[r] != invariant.Exterior {
 					in++
 				}
 			}
 			sum += float64(in) / totalCells
 		}
-		v[featRegionCells] = sum / float64(len(names))
+		v[featRegionCells] = sum / float64(nr)
 	}
 
 	// Spectral features: closed-walk moments of the skeleton adjacency

@@ -5,7 +5,9 @@ package spatial
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/region"
@@ -60,6 +62,26 @@ func (s *Schema) Size() int { return len(s.names) }
 func (s *Schema) Has(name string) bool {
 	_, ok := s.index[name]
 	return ok
+}
+
+// Index returns the schema position of the named region, or -1 when the
+// schema has no such region.  A cell's sign vector is indexed by it.
+func (s *Schema) Index(name string) int {
+	if i, ok := s.index[name]; ok {
+		return i
+	}
+	return -1
+}
+
+// SortedIndexes returns the schema positions ordered by region name, for
+// consumers whose output must not depend on the schema's enumeration.
+func (s *Schema) SortedIndexes() []int {
+	out := make([]int, len(s.names))
+	for i := range out {
+		out[i] = i
+	}
+	slices.SortFunc(out, func(a, b int) int { return strings.Compare(s.names[a], s.names[b]) })
+	return out
 }
 
 // Instance is a spatial database instance: a mapping from the schema's region

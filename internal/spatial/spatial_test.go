@@ -1,6 +1,7 @@
 package spatial
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -29,6 +30,25 @@ func TestSchema(t *testing.T) {
 	}
 	if _, err := NewSchema(""); err == nil {
 		t.Error("empty name accepted")
+	}
+}
+
+func TestSchemaIndexes(t *testing.T) {
+	s := MustSchema("water", "forest", "road", "field")
+	for i, n := range s.Names() {
+		if got := s.Index(n); got != i {
+			t.Errorf("Index(%q) = %d, want %d", n, got, i)
+		}
+	}
+	if got := s.Index("lake"); got != -1 {
+		t.Errorf("Index of an absent name = %d, want -1", got)
+	}
+	// field, forest, road, water.
+	if got, want := s.SortedIndexes(), []int{3, 1, 2, 0}; !slices.Equal(got, want) {
+		t.Errorf("SortedIndexes = %v, want %v", got, want)
+	}
+	if got := MustSchema().SortedIndexes(); len(got) != 0 {
+		t.Errorf("SortedIndexes of the empty schema = %v", got)
 	}
 }
 

@@ -238,13 +238,12 @@ func otherEndpoint(inv *invariant.Invariant, e, v int) int {
 // tree, children sorted by their codes (isomorphic siblings are counted).
 func CanonicalCode(inv *invariant.Invariant) string {
 	cs := inv.Components()
-	names := inv.Schema.Names()
-	slices.Sort(names)
+	order := inv.Schema.SortedIndexes()
 	var encode func(compID int) string
 	encode = func(compID int) string {
 		best := ""
 		for _, o := range BuildComponentOrders(inv, cs.List[compID]) {
-			if enc := encodeComponent(inv, names, o); best == "" || enc < best {
+			if enc := encodeComponent(inv, order, o); best == "" || enc < best {
 				best = enc
 			}
 		}
@@ -270,8 +269,8 @@ func CanonicalCode(inv *invariant.Invariant) string {
 }
 
 // encodeComponent serialises a component's relations relative to one of its
-// orders; names are the schema's region names, sorted.
-func encodeComponent(inv *invariant.Invariant, names []string, o CellOrder) string {
+// orders; regions lists the schema positions in sorted-name order.
+func encodeComponent(inv *invariant.Invariant, regions []int, o CellOrder) string {
 	rank := make(map[invariant.CellRef]int, len(o.Cells))
 	for i, c := range o.Cells {
 		rank[c] = i
@@ -287,8 +286,9 @@ func encodeComponent(inv *invariant.Invariant, names []string, o CellOrder) stri
 	var b strings.Builder
 	for _, c := range o.Cells {
 		b.WriteString(c.Kind.String()[:1])
-		for _, n := range names {
-			b.WriteString(inv.SignOf(c, n).String())
+		signs := inv.Signs(c)
+		for _, r := range regions {
+			b.WriteString(signs[r].String())
 		}
 		switch c.Kind {
 		case invariant.EdgeCell:
@@ -390,11 +390,11 @@ func InvertToLinear(inv *invariant.Invariant) (*spatial.Instance, error) {
 	// components embedded directly in it.
 	schema := spatial.MustSchema(inv.Schema.Names()...)
 	out := spatial.NewInstance(schema)
-	for _, name := range inv.Schema.Names() {
+	for ri, name := range inv.Schema.Names() {
 		var features []region.Feature
 		// Area features: faces contained in the region.
 		for f, info := range inv.Faces {
-			if info.Exterior || info.Sign[name] == invariant.Exterior {
+			if info.Exterior || info.Sign[ri] == invariant.Exterior {
 				continue
 			}
 			owner := cs.FaceOwner[f]
@@ -410,12 +410,12 @@ func InvertToLinear(inv *invariant.Invariant) (*spatial.Instance, error) {
 		// Curve features: free-loop edges on the region's boundary whose
 		// neither incident face is already contributing the curve.
 		for e, info := range inv.Edges {
-			if info.Sign[name] != invariant.Boundary {
+			if info.Sign[ri] != invariant.Boundary {
 				continue
 			}
 			bothOutside := true
 			for _, f := range info.Faces {
-				if inv.Faces[f].Sign[name] != invariant.Exterior {
+				if inv.Faces[f].Sign[ri] != invariant.Exterior {
 					bothOutside = false
 				}
 			}
@@ -434,7 +434,7 @@ func InvertToLinear(inv *invariant.Invariant) (*spatial.Instance, error) {
 		}
 		// Point features: isolated vertices in the region.
 		for v, info := range inv.Vertices {
-			if !info.Isolated || info.Sign[name] == invariant.Exterior {
+			if !info.Isolated || info.Sign[ri] == invariant.Exterior {
 				continue
 			}
 			comp := cs.OfVertex[v]
@@ -576,9 +576,10 @@ func (fo *FOQuery) EvaluateOnInvariant(inv *invariant.Invariant) (bool, error) {
 	if err != nil {
 		return false, err
 	}
+	r := inv.Schema.Index(fo.Region) // Extract checked it is present
 	hasInterior := false
 	for _, f := range inv.Faces {
-		if f.Sign[fo.Region] != invariant.Exterior {
+		if f.Sign[r] != invariant.Exterior {
 			hasInterior = true
 			break
 		}
