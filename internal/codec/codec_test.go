@@ -235,6 +235,16 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := DecodeInstance(idata); err == nil {
 		t.Error("kind mismatch (invariant bytes as instance): want error")
 	}
+
+	// A well-formed invariant with one extra empty face passes every
+	// incidence check, but not Euler's relation.
+	inv.Faces = append(inv.Faces, &invariant.FaceInfo{Sign: make([]invariant.Sign, inst.Schema().Size())})
+	if idata, err = EncodeInvariant(inv); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeInvariant(idata); err == nil || !strings.Contains(err.Error(), "Euler") {
+		t.Errorf("extra empty face: got %v, want Euler's relation error", err)
+	}
 }
 
 // areaBlob encodes a one-region instance "P" holding a single area feature

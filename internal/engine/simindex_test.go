@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -148,5 +150,65 @@ func TestEngineSimReindexesWhenFileMissing(t *testing.T) {
 	}
 	if st.Sim.Entries != 2 {
 		t.Fatalf("Sim.Entries = %d, want 2", st.Sim.Entries)
+	}
+}
+
+func TestEngineSimReindexesStaleFile(t *testing.T) {
+	dir := t.TempDir()
+	a, _, b, _ := simInstances(t)
+	e1 := New(WithStore(dir))
+	for _, inst := range []*spatial.Instance{a, b} {
+		if _, err := e1.Invariant(inst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the index file in the previous format, version 1 with 32
+	// coordinates per entry, as a server built before the feature change
+	// left it.
+	path := simindex.IndexFilePath(dir)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, err := simindex.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := binary.LittleEndian.AppendUint32([]byte("TSIM"), 1)
+	stale = binary.LittleEndian.AppendUint32(stale, 32)
+	stale = binary.LittleEndian.AppendUint64(stale, uint64(len(entries)))
+	for _, en := range entries {
+		for _, s := range []string{en.ID, en.Class, en.Fingerprint} {
+			stale = append(binary.LittleEndian.AppendUint32(stale, uint32(len(s))), s...)
+		}
+		stale = append(stale, make([]byte, 32*8)...)
+	}
+	stale = binary.LittleEndian.AppendUint32(stale, crc32.Checksum(stale, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(path, stale, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := simindex.New().LoadFile(path); err == nil {
+		t.Fatal("a version-1 index file loaded without error")
+	}
+
+	e2 := New(WithStore(dir))
+	st := e2.Stats()
+	if st.SimErrors != 1 || st.SimLoaded != 0 || st.SimReindexed != 2 {
+		t.Fatalf("errors %d loaded %d reindexed %d, want 1/0/2", st.SimErrors, st.SimLoaded, st.SimReindexed)
+	}
+	if st.Sim.Entries != 2 {
+		t.Fatalf("Sim.Entries = %d, want 2", st.Sim.Entries)
+	}
+	if err := e2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Close wrote the rebuilt index in the current format.
+	e3 := New(WithStore(dir))
+	defer e3.Close()
+	if st := e3.Stats(); st.SimErrors != 0 || st.SimLoaded != 2 || st.SimReindexed != 0 {
+		t.Fatalf("after rebuild: errors %d loaded %d reindexed %d, want 0/2/0", st.SimErrors, st.SimLoaded, st.SimReindexed)
 	}
 }

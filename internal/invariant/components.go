@@ -275,17 +275,6 @@ func (cs *Components) Children(parent int) []int {
 	return out
 }
 
-// Depth returns the depth of the component in the tree (children of the root
-// have depth 0).
-func (cs *Components) Depth(id int) int {
-	d := 0
-	for cs.List[id].Parent != -1 {
-		id = cs.List[id].Parent
-		d++
-	}
-	return d
-}
-
 // Count returns the number of connected components.
 func (cs *Components) Count() int { return len(cs.List) }
 

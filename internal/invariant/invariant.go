@@ -178,7 +178,8 @@ func (inv *Invariant) String() string {
 }
 
 // Validate checks internal consistency of the invariant: incidences are
-// symmetric, indices are in range, cones alternate edge/face.
+// symmetric, indices are in range, cones alternate edge/face, and the cell
+// counts satisfy Euler's relation for a planar complex.
 func (inv *Invariant) Validate() error {
 	checkFace := func(f int) error {
 		if f < 0 || f >= len(inv.Faces) {
@@ -253,6 +254,17 @@ func (inv *Invariant) Validate() error {
 	}
 	if ext != 1 {
 		return fmt.Errorf("invariant: %d exterior faces, want exactly 1", ext)
+	}
+	// Euler's relation, V − E + F = 1 + C, with each free loop (an edge
+	// without vertices) counted as one vertex.
+	loops := 0
+	for _, e := range inv.Edges {
+		if e.IsFreeLoop() {
+			loops++
+		}
+	}
+	if v, c := len(inv.Vertices)+loops, inv.Components().Count(); v-len(inv.Edges)+len(inv.Faces) != 1+c {
+		return fmt.Errorf("invariant: Euler's relation fails: V %d - E %d + F %d != 1 + C %d", v, len(inv.Edges), len(inv.Faces), c)
 	}
 	return nil
 }

@@ -231,8 +231,12 @@ func TestComponentsNested(t *testing.T) {
 	if grand.Distance != 0 || grand.Parent != -1 {
 		t.Errorf("grandparent should be a root child at distance 0")
 	}
-	if cs.Depth(qComp.ID) != 2 {
-		t.Errorf("depth of Q's component = %d, want 2", cs.Depth(qComp.ID))
+	depth := 0
+	for c := qComp; c.Parent != -1; c = cs.List[c.Parent] {
+		depth++
+	}
+	if depth != 2 {
+		t.Errorf("depth of Q's component = %d, want 2", depth)
 	}
 	// P's boundary meets two components.
 	if len(cs.RegionComponents["P"]) != 2 {

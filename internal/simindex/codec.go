@@ -22,7 +22,7 @@ import (
 // source of truth.
 const (
 	codecMagic   = "TSIM"
-	codecVersion = 1
+	codecVersion = 2
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -29,13 +29,16 @@ import (
 // FeatureDim is the fixed dimensionality of feature vectors. It is part of
 // the persistent index format: changing it (or any feature definition)
 // requires bumping the codec version and the golden files.
-const FeatureDim = 32
+const FeatureDim = 24
 
 // Vector is a deterministic fixed-dimension feature vector summarizing an
 // invariant's topology. Count-like coordinates are log1p-compressed so that
 // the L∞ distance behaves like a dilation-tolerant comparative measure:
 // uniformly scaling all counts by a factor shifts those coordinates by a
 // comparable additive amount instead of blowing up a single coordinate.
+// Euler's relation, V + ℓ − E + F = 1 + C with ℓ free loops, fixes the
+// edge, cell and cycle-rank counts, so none is a coordinate.
+// TestRetrievalQuality measures what the vector ranks.
 type Vector [FeatureDim]float64
 
 // Coordinate layout of Vector. Histogram groups are stored as fractions of
@@ -43,16 +46,13 @@ type Vector [FeatureDim]float64
 // different sizes remain comparable.
 const (
 	featVertices      = iota // log1p(#vertices)
-	featEdges                // log1p(#edges)
 	featFaces                // log1p(#faces)
-	featCells                // log1p(total cells)
 	featComponents           // log1p(#components)
 	featFreeLoops            // log1p(#free loops)
 	featLoops                // log1p(#loops, endpoints equal)
 	featProperEdges          // log1p(#proper edges)
 	featIsolatedVerts        // log1p(#isolated vertices)
 	featRegions              // log1p(#schema regions)
-	featCycleRank            // log1p(first Betti number of the skeleton)
 	featDeg0                 // vertex-degree histogram: fraction of degree 0
 	featDeg1                 // … degree 1
 	featDeg2                 // … degree 2
@@ -64,12 +64,7 @@ const (
 	featFaceDeg3             // … 3 edges
 	featFaceDeg4             // … 4 edges
 	featFaceDeg5plus         // … ≥ 5 edges
-	featDepth0               // component-tree depth histogram: fraction at depth 0
-	featDepth1               // … depth 1
-	featDepth2plus           // … depth ≥ 2
-	featMaxDepth             // log1p(max component depth)
-	featBranching            // mean children per internal tree node
-	featRegionCells          // mean over regions of fraction of cells in the region's extent
+	featRegionCells          // fraction of (cell, region) pairs with the cell in the region's extent
 	featSpecSkel1            // skeleton adjacency: log1p((tr A⁴ / n)^¼), spectral-radius bound
 	featSpecSkel2            // skeleton adjacency: log1p((tr A³ / n)^⅓), triangle density
 	featSpecDual1            // face-dual adjacency: log1p((tr A⁴ / n)^¼)
@@ -77,17 +72,15 @@ const (
 )
 
 // Features extracts the feature vector of an invariant. The result is a
-// pure function of the invariant's combinatorial structure and its schema
-// order (featRegionCells sums over regions in schema order), and never
-// depends on map iteration order.
+// pure function of the invariant's combinatorial structure: it depends
+// neither on map iteration order nor on the order of the schema's regions.
 func Features(inv *invariant.Invariant) Vector {
 	var v Vector
 
 	nV, nE, nF := len(inv.Vertices), len(inv.Edges), len(inv.Faces)
 	v[featVertices] = math.Log1p(float64(nV))
-	v[featEdges] = math.Log1p(float64(nE))
 	v[featFaces] = math.Log1p(float64(nF))
-	v[featCells] = math.Log1p(float64(nV + nE + nF))
+	v[featComponents] = math.Log1p(float64(inv.Components().Count()))
 
 	var freeLoops, loops, proper, isolated int
 	for _, e := range inv.Edges {
@@ -110,19 +103,6 @@ func Features(inv *invariant.Invariant) Vector {
 	v[featProperEdges] = math.Log1p(float64(proper))
 	v[featIsolatedVerts] = math.Log1p(float64(isolated))
 	v[featRegions] = math.Log1p(float64(inv.Schema.Size()))
-
-	cs := inv.Components()
-	nC := cs.Count()
-	v[featComponents] = math.Log1p(float64(nC))
-	// First Betti number of the skeleton: E - V + C, counting free loops as
-	// cycles on their own component (a free loop has no vertices, so the
-	// formula already credits it: 1 edge - 0 vertices + its component... the
-	// component itself contributes +1, netting the loop's cycle via the edge).
-	betti := nE - nV + nC
-	if betti < 0 {
-		betti = 0
-	}
-	v[featCycleRank] = math.Log1p(float64(betti))
 
 	// Vertex-degree histogram.
 	if nV > 0 {
@@ -158,65 +138,21 @@ func Features(inv *invariant.Invariant) Vector {
 		}
 	}
 
-	// Component-tree shape: depth histogram, max depth, mean branching.
-	if nC > 0 {
-		var depths [3]int
-		maxDepth := 0
-		children := make(map[int]int, nC)
-		for _, c := range cs.List {
-			d := cs.Depth(c.ID)
-			if d > maxDepth {
-				maxDepth = d
-			}
-			if d > 2 {
-				d = 2
-			}
-			depths[d]++
-			if c.Parent >= 0 {
-				children[c.Parent]++
-			}
+	// Per-region occupancy: the mean over schema regions of the fraction of
+	// cells contained in the region's extent, computed as one integer count
+	// over one denominator so that no float sum depends on the schema order.
+	if nr, nCells := inv.Schema.Size(), nV+nE+nF; nr > 0 && nCells > 0 {
+		in := 0
+		for _, c := range inv.Vertices {
+			in += contained(c.Sign)
 		}
-		for i, c := range depths {
-			v[featDepth0+i] = float64(c) / float64(nC)
+		for _, c := range inv.Edges {
+			in += contained(c.Sign)
 		}
-		v[featMaxDepth] = math.Log1p(float64(maxDepth))
-		if len(children) > 0 {
-			total := 0
-			//lint:allow determinism(summing map values is order-independent)
-			for _, c := range children {
-				total += c
-			}
-			v[featBranching] = float64(total) / float64(len(children))
+		for _, c := range inv.Faces {
+			in += contained(c.Sign)
 		}
-	}
-
-	// Per-region occupancy: mean over schema regions of the fraction of
-	// cells contained in the region's extent. The float sum runs in schema
-	// order and must stay so: it is persisted in SIMINDEX.bin, and summing
-	// in another order changes its last bit on some permuted schemas.
-	if nr := inv.Schema.Size(); nr > 0 && nV+nE+nF > 0 {
-		totalCells := float64(nV + nE + nF)
-		sum := 0.0
-		for r := range nr {
-			in := 0
-			for _, c := range inv.Vertices {
-				if c.Sign[r] != invariant.Exterior {
-					in++
-				}
-			}
-			for _, c := range inv.Edges {
-				if c.Sign[r] != invariant.Exterior {
-					in++
-				}
-			}
-			for _, c := range inv.Faces {
-				if c.Sign[r] != invariant.Exterior {
-					in++
-				}
-			}
-			sum += float64(in) / totalCells
-		}
-		v[featRegionCells] = sum / float64(nr)
+		v[featRegionCells] = float64(in) / float64(nCells*nr)
 	}
 
 	// Spectral features: closed-walk moments of the skeleton adjacency
@@ -233,6 +169,18 @@ func Features(inv *invariant.Invariant) Vector {
 	v[featSpecDual1], v[featSpecDual2] = d4, d3
 
 	return v
+}
+
+// contained counts the regions whose extent contains a cell with the given
+// signs.
+func contained(signs []invariant.Sign) int {
+	n := 0
+	for _, s := range signs {
+		if s != invariant.Exterior {
+			n++
+		}
+	}
+	return n
 }
 
 // skeletonAdjacency builds the vertex adjacency lists of the skeleton

@@ -77,7 +77,6 @@ func TestFeaturesHistogramsSumToOne(t *testing.T) {
 	}{
 		{"vertex-degree", featDeg0, featDeg5plus},
 		{"face-degree", featFaceDeg1, featFaceDeg5plus},
-		{"tree-depth", featDepth0, featDepth2plus},
 	} {
 		if s := sum(h.lo, h.hi); math.Abs(s-1) > 1e-9 {
 			t.Errorf("%s histogram sums to %v, want 1", h.name, s)

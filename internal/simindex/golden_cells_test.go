@@ -24,8 +24,8 @@ import (
 // bytes, the feature vector and the point sample's membership matrix.
 type goldenCell struct {
 	Invariant string `json:"invariant_sha256"`
-	// Features holds the 32 coordinates as math.Float64bits hex words,
-	// separated by spaces, so a drift in the last bit shows.
+	// Features holds the FeatureDim coordinates as math.Float64bits hex
+	// words, separated by spaces, so a drift in the last bit shows.
 	Features string `json:"features"`
 	Sample   string `json:"sample_sha256"`
 }
@@ -55,6 +55,9 @@ func goldenCellOf(t *testing.T, name string, inst *spatial.Instance) (goldenCell
 		t.Fatalf("%s: arrangement: %v", name, err)
 	}
 	inv := invariant.FromComplex(cx)
+	if err := inv.Validate(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 	data, err := codec.EncodeInvariant(inv)
 	if err != nil {
 		t.Fatalf("%s: encode: %v", name, err)
@@ -90,10 +93,11 @@ func goldenCellOf(t *testing.T, name string, inst *spatial.Instance) (goldenCell
 // copy of each multi-region one. The copies put every region at another
 // schema position, so a consumer that reads signs at the wrong position or
 // in the wrong order shows up here even where the generator instances
-// agree. The copies must also keep the original's ClassID and
-// FingerprintID, which read signs in sorted-name order. A refactor of the
-// cell records or of any sign consumer must reproduce this file without
-// regenerating it.
+// agree. The copies must also keep the original's ClassID, FingerprintID
+// and feature bits, none of which may depend on the schema's order. A
+// refactor of the cell records or of any sign consumer must reproduce this
+// file without regenerating it. Every freshly built invariant must also
+// pass Validate, Euler's relation included.
 func TestGoldenCellData(t *testing.T) {
 	path := filepath.Join("testdata", "golden_cells.json")
 	got := make(map[string]goldenCell)
@@ -111,6 +115,9 @@ func TestGoldenCellData(t *testing.T) {
 		}
 		if FingerprintID(rinv) != FingerprintID(inv) {
 			t.Errorf("%s: fingerprint id differs from the original's", rname)
+		}
+		if rg.Features != g.Features {
+			t.Errorf("%s: feature bits differ from the original's", rname)
 		}
 	}
 

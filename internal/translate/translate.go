@@ -26,6 +26,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/cones"
@@ -284,6 +285,8 @@ func encodeComponent(inv *invariant.Invariant, regions []int, o CellOrder) strin
 		return -1
 	}
 	var b strings.Builder
+	var num [20]byte
+	writeInt := func(x int) { b.Write(strconv.AppendInt(num[:0], int64(x), 10)) }
 	for _, c := range o.Cells {
 		b.WriteString(c.Kind.String()[:1])
 		signs := inv.Signs(c)
@@ -293,15 +296,28 @@ func encodeComponent(inv *invariant.Invariant, regions []int, o CellOrder) strin
 		switch c.Kind {
 		case invariant.EdgeCell:
 			e := inv.Edges[c.Index]
-			fmt.Fprintf(&b, "(%d,%d)", endpoint(e.V1), endpoint(e.V2))
+			b.WriteString("(")
+			writeInt(endpoint(e.V1))
+			b.WriteString(",")
+			writeInt(endpoint(e.V2))
+			b.WriteString(")")
 		case invariant.VertexCell:
 			b.WriteString("<")
 			for _, cc := range inv.Vertices[c.Index].Cone {
-				fmt.Fprintf(&b, "%d,", rank[cc])
+				writeInt(rank[cc])
+				b.WriteString(",")
 			}
 			b.WriteString(">")
 		case invariant.FaceCell:
-			fmt.Fprintf(&b, "%v", faceEdgeRanks(inv, c.Index, rank))
+			// The ranks print as fmt prints an []int: "[3 7 12]".
+			b.WriteString("[")
+			for i, r := range faceEdgeRanks(inv, c.Index, rank) {
+				if i > 0 {
+					b.WriteString(" ")
+				}
+				writeInt(r)
+			}
+			b.WriteString("]")
 			if inv.Faces[c.Index].Exterior {
 				b.WriteString("X")
 			}
