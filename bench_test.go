@@ -7,16 +7,25 @@
 package repro_test
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math/big"
 	"runtime"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/geojson"
+	"repro/internal/geom"
 	"repro/internal/invariant"
 	"repro/internal/logic"
 	"repro/internal/pointfo"
+	"repro/internal/region"
 	"repro/internal/relational"
 	"repro/internal/simindex"
+	"repro/internal/spatial"
 	"repro/internal/translate"
+	"repro/internal/workload"
 	"repro/topoinv"
 )
 
@@ -527,4 +536,107 @@ func BenchmarkAblationIso(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkColdIngest runs the server's in-process cold path for a
+// never-seen upload over 36 maps, seeds 1–12 of hydrography, commune and
+// land use at scale 1: GeoJSON import (with its area validation), the
+// content key, the invariant, the compiled evaluator and the similarity
+// entry. Each map costs two arrangement builds, one in invariant.Compute
+// and one in CompileEvaluator. It reports ms per map.
+func BenchmarkColdIngest(b *testing.B) {
+	var docs [][]byte
+	for seed := int64(1); seed <= 12; seed++ {
+		h, c, l := workload.DefaultHydrography(1), workload.DefaultCommune(1), workload.DefaultLandUse(1)
+		h.Seed, c.Seed, l.Seed = seed, seed, seed
+		hi, err1 := workload.Hydrography(h)
+		ci, err2 := workload.Commune(c)
+		li, err3 := workload.LandUse(l)
+		if err := errors.Join(err1, err2, err3); err != nil {
+			b.Fatal(err)
+		}
+		for _, inst := range []*spatial.Instance{hi, ci, li} {
+			docs = append(docs, geoJSONDoc(b, inst))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, doc := range docs {
+			inst, err := geojson.Import(doc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			key, err := engine.InstanceKey(inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			inv, err := invariant.Compute(inst)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := pointfo.CompileEvaluator(inst); err != nil {
+				b.Fatal(err)
+			}
+			simindex.MakeEntry(key, inv)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*len(docs)), "ms/map")
+}
+
+// geoJSONDoc writes an instance as a GeoJSON FeatureCollection the way
+// perfbench's encodeGeoJSON does (that function lives in package main of
+// its own module, so it cannot be imported here): one Feature per region
+// feature, the region name in the "name" property, and every coordinate
+// rounded to its nearest float64, which the importer reads back as the
+// same float64.
+func geoJSONDoc(b *testing.B, inst *spatial.Instance) []byte {
+	type geometry struct {
+		Type        string `json:"type"`
+		Coordinates any    `json:"coordinates"`
+	}
+	type feature struct {
+		Type       string            `json:"type"`
+		Properties map[string]string `json:"properties"`
+		Geometry   geometry          `json:"geometry"`
+	}
+	pos := func(p geom.Point) [2]float64 {
+		x, _ := new(big.Rat).SetFrac(p.X.Num(), p.X.Den()).Float64()
+		y, _ := new(big.Rat).SetFrac(p.Y.Num(), p.Y.Den()).Float64()
+		return [2]float64{x, y}
+	}
+	ring := func(pts []geom.Point, closed bool) [][2]float64 {
+		out := make([][2]float64, 0, len(pts)+1)
+		for _, p := range pts {
+			out = append(out, pos(p))
+		}
+		if closed {
+			out = append(out, pos(pts[0]))
+		}
+		return out
+	}
+	var feats []feature
+	for _, name := range inst.Schema().Names() {
+		for _, f := range inst.Region(name).Features {
+			var g geometry
+			switch f.Dim {
+			case region.Dim0:
+				g = geometry{"Point", pos(f.Point)}
+			case region.Dim1:
+				g = geometry{"LineString", ring(f.Line.Points, false)}
+			default:
+				rings := [][][2]float64{ring(f.Outer.Vertices, true)}
+				for _, h := range f.Holes {
+					rings = append(rings, ring(h.Vertices, true))
+				}
+				g = geometry{"Polygon", rings}
+			}
+			feats = append(feats, feature{"Feature", map[string]string{"name": name}, g})
+		}
+	}
+	doc, err := json.Marshal(map[string]any{"type": "FeatureCollection", "features": feats})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return doc
 }

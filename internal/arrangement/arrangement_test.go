@@ -31,8 +31,8 @@ func instanceOf(regs map[string]region.Region) *spatial.Instance {
 }
 
 // verticesByPoint maps each vertex's point key to its ID.
-func verticesByPoint(cx *Complex) map[string]int {
-	out := make(map[string]int, len(cx.Vertices))
+func verticesByPoint(cx *Complex) map[geom.PointKey]int {
+	out := make(map[geom.PointKey]int, len(cx.Vertices))
 	for _, v := range cx.Vertices {
 		out[v.Point.Key()] = v.ID
 	}

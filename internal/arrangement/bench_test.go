@@ -67,6 +67,7 @@ func BenchmarkArrangementScaling(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
 			var faces int
 			for i := 0; i < b.N; i++ {
 				cx, err := Build(tc.inst)

@@ -1,7 +1,9 @@
 package arrangement
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -35,7 +37,7 @@ type fullComplex struct {
 
 	// Sweep-order location state: non-isolated vertices per x column in
 	// ascending y, and the resolved face of every cycle.
-	cols      map[string][]int
+	cols      map[rat.Key][]int
 	cycleFace []int
 
 	// Sign classes in schema order (filled by classify).
@@ -62,29 +64,28 @@ func twin(h int) int { return h ^ 1 }
 
 func segOf(h int) int { return h / 2 }
 
-// directionLess orders direction vectors counterclockwise starting from the
-// positive x-axis.  Vectors must be nonzero and pairwise non-parallel at a
-// given vertex (guaranteed by the subdivision).
-func directionLess(d1, d2 geom.Point) bool {
-	h1, h2 := dirHalf(d1), dirHalf(d2)
-	if h1 != h2 {
-		return h1 < h2
+// cmpDirection orders the directions from o to p and from o to q
+// counterclockwise starting from the positive x-axis.  p and q must differ
+// from o, and the directions are equal only when p == q (the subdivision
+// guarantees that at each vertex).
+func cmpDirection(o, p, q geom.Point) int {
+	if h1, h2 := dirHalf(o, p), dirHalf(o, q); h1 != h2 {
+		return cmp.Compare(h1, h2)
 	}
-	// Same half-plane: d1 comes first iff the turn from d1 to d2 is CCW.
-	cross := d1.X.Mul(d2.Y).Sub(d1.Y.Mul(d2.X))
-	return cross.Sign() > 0
+	// Same half-plane: p comes first iff the turn from p to q is CCW.
+	return -geom.Orientation(o, p, q)
 }
 
-// dirHalf returns 0 for the upper half-plane (y > 0, or y == 0 and x > 0) and
-// 1 for the lower half-plane.
-func dirHalf(d geom.Point) int {
-	switch d.Y.Sign() {
+// dirHalf returns 0 when the direction from o to p lies in the upper
+// half-plane (y > 0, or y == 0 and x > 0) and 1 when it lies in the lower.
+func dirHalf(o, p geom.Point) int {
+	switch p.Y.Cmp(o.Y) {
 	case 1:
 		return 0
 	case -1:
 		return 1
 	default:
-		if d.X.Sign() > 0 {
+		if p.X.Cmp(o.X) > 0 {
 			return 0
 		}
 		return 1
@@ -144,12 +145,9 @@ func traceCycles(sub *subdivision) (*fullComplex, error) {
 	for v := range fc.vertexOut {
 		out := fc.vertexOut[v]
 		origin := sub.points[v]
-		sort.Slice(out, func(i, j int) bool {
-			di := sub.points[fc.heTarget[out[i]]].Sub(origin)
-			dj := sub.points[fc.heTarget[out[j]]].Sub(origin)
-			return directionLess(di, dj)
+		slices.SortFunc(out, func(h1, h2 int) int {
+			return cmpDirection(origin, sub.points[fc.heTarget[h1]], sub.points[fc.heTarget[h2]])
 		})
-		fc.vertexOut[v] = out
 	}
 
 	// next(h): at the head vertex of h, take the outgoing half-edge
@@ -231,7 +229,7 @@ func (fc *fullComplex) recordHalfEdgeFaces() {
 // buildColumns indexes the non-isolated vertices by x coordinate, each
 // column sorted by ascending y.
 func (fc *fullComplex) buildColumns() {
-	fc.cols = make(map[string][]int)
+	fc.cols = make(map[rat.Key][]int)
 	for v := range fc.vertexOut {
 		if len(fc.vertexOut[v]) == 0 {
 			continue
@@ -240,9 +238,7 @@ func (fc *fullComplex) buildColumns() {
 		fc.cols[k] = append(fc.cols[k], v)
 	}
 	for _, col := range fc.cols {
-		sort.Slice(col, func(i, j int) bool {
-			return fc.sub.points[col[i]].Y.Less(fc.sub.points[col[j]].Y)
-		})
+		slices.SortFunc(col, func(v, w int) int { return fc.sub.points[v].Y.Cmp(fc.sub.points[w].Y) })
 	}
 }
 
@@ -276,23 +272,24 @@ func (fc *fullComplex) blockerCycle(p geom.Point) int {
 	default:
 		// The blocker is vertex w.  w has no upward edge (its target would
 		// be a column vertex contradicting w's maximality, or a vertex in
-		// the edge's interior), so the upward direction lies strictly inside
-		// one of w's angular sectors.
-		return fc.sectorCycle(w, geom.Pt(0, 1))
+		// the edge's interior), so the upward direction, towards p, lies
+		// strictly inside one of w's angular sectors.
+		return fc.sectorCycle(w, p)
 	}
 }
 
 // sectorCycle returns the cycle owning the angular sector at vertex v that
-// contains direction d.  d must not be parallel to an incident edge.  The
-// sector swept counterclockwise from an outgoing half-edge to its CCW
-// successor belongs to the face left of that half-edge, so the owner is the
-// CCW predecessor of d among the outgoing directions (wrapping around).
-func (fc *fullComplex) sectorCycle(v int, d geom.Point) int {
+// contains the direction from v to q, which must not be the direction of an
+// incident edge.  The sector swept counterclockwise from an outgoing
+// half-edge to its CCW successor belongs to the face left of that half-edge,
+// so the owner is the CCW predecessor of that direction among the outgoing
+// ones (wrapping around).
+func (fc *fullComplex) sectorCycle(v int, q geom.Point) int {
 	out := fc.vertexOut[v]
 	origin := fc.sub.points[v]
 	best := -1
 	for _, h := range out {
-		if directionLess(fc.sub.points[fc.heTarget[h]].Sub(origin), d) {
+		if cmpDirection(origin, fc.sub.points[fc.heTarget[h]], q) < 0 {
 			best = h
 		} else {
 			break

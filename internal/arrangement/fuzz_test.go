@@ -171,12 +171,12 @@ func signSummary(names []string, signs []Sign) string {
 func complexSummary(cx *Complex) (verts, edges, faces []string) {
 	names := cx.Schema.Names()
 	for _, v := range cx.Vertices {
-		verts = append(verts, v.Point.Key()+"|"+signSummary(names, v.Sign))
+		verts = append(verts, v.Point.String()+"|"+signSummary(names, v.Sign))
 	}
 	for _, e := range cx.Edges {
-		anchor := e.Chain[0].Key()
+		anchor := e.Chain[0].String()
 		for _, p := range e.Chain[1:] {
-			if k := p.Key(); k < anchor {
+			if k := p.String(); k < anchor {
 				anchor = k
 			}
 		}
@@ -364,7 +364,7 @@ func checkFaceReps(t *testing.T, which string, inst *spatial.Instance, cx *Compl
 // sharing a witness would put one point in the sample twice.
 func checkWitnessesDistinct(t *testing.T, which string, cx *Complex) {
 	t.Helper()
-	seen := make(map[string]CellRef)
+	seen := make(map[geom.PointKey]CellRef)
 	add := func(p geom.Point, c CellRef) {
 		if prev, dup := seen[p.Key()]; dup {
 			t.Fatalf("%s: %v and %v share the witness %v", which, prev, c, p)

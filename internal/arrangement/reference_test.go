@@ -29,7 +29,7 @@ func buildReference(inst *spatial.Instance) (*Complex, error) {
 // every pair whose exact bounding boxes meet, and at every isolated point
 // lying on them.
 func subdivideReference(inst *spatial.Instance) *subdivision {
-	sub, keys, isoPts := gatherInput(inst)
+	sub, isoPts := gatherInput(inst)
 	segs := sub.inputSegs
 	splits := make([][]geom.Point, len(segs))
 	for _, pr := range naiveCandidatePairs(segs) {
@@ -52,7 +52,7 @@ func subdivideReference(inst *spatial.Instance) *subdivision {
 			}
 		}
 	}
-	sub.emit(keys, splits, isoPts)
+	sub.emit(splits, isoPts)
 	return sub
 }
 

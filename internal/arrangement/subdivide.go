@@ -1,7 +1,9 @@
 package arrangement
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/region"
@@ -35,12 +37,15 @@ type srcTables struct {
 	nRings     int
 	ringRegion []int // ring ID -> region index
 
-	segRings  map[string][]int // input segment key -> ring IDs covering it
-	segLines  map[string][]int // input segment key -> region indices with a line feature covering it
-	pointRegs map[string][]int // isolated point key -> region indices with that Dim0 feature
+	segRings  [][]int                 // per input segment: ring IDs covering it
+	segLines  [][]int                 // per input segment: region indices with a line feature covering it
+	pointRegs map[geom.PointKey][]int // isolated point -> region indices with that Dim0 feature
 }
 
-func (src *srcTables) addRing(ri int, pg geom.Polygon, segSet map[string]geom.Segment) int {
+// addRing gives ring pg of region ri the next ring ID and records that ID
+// on every input segment of its boundary.
+func (sub *subdivision) addRing(ri int, pg geom.Polygon, segID map[geom.SegmentKey]int) int {
+	src := sub.src
 	id := src.nRings
 	src.nRings++
 	src.ringRegion = append(src.ringRegion, ri)
@@ -48,11 +53,27 @@ func (src *srcTables) addRing(ri int, pg geom.Polygon, segSet map[string]geom.Se
 		if e.A.Equal(e.B) {
 			continue
 		}
-		c := e.Canonical()
-		segSet[c.Key()] = c
-		src.segRings[c.Key()] = append(src.segRings[c.Key()], id)
+		i := sub.inputSeg(e, segID)
+		src.segRings[i] = append(src.segRings[i], id)
 	}
 	return id
+}
+
+// inputSeg returns the index of s's canonical form in sub.inputSegs, adding
+// it when it is new; segID maps the key of every segment added so far to
+// its index.
+func (sub *subdivision) inputSeg(s geom.Segment, segID map[geom.SegmentKey]int) int {
+	c := s.Canonical()
+	k := c.Key()
+	i, ok := segID[k]
+	if !ok {
+		i = len(sub.inputSegs)
+		segID[k] = i
+		sub.inputSegs = append(sub.inputSegs, c)
+		sub.src.segRings = append(sub.src.segRings, nil)
+		sub.src.segLines = append(sub.src.segLines, nil)
+	}
+	return i
 }
 
 // splitRef names split point k (in sorted order) of input segment seg.
@@ -60,8 +81,8 @@ type splitRef struct{ seg, k int }
 
 // subdivision is the output of the splitting phase.
 type subdivision struct {
-	points   []geom.Point   // vertex coordinates, indexed by vertex ID
-	pointID  map[string]int // point key -> vertex ID
+	points   []geom.Point          // vertex coordinates, indexed by vertex ID
+	pointID  map[geom.PointKey]int // point key -> vertex ID
 	segments []subSeg
 	// isolatedCandidates are vertex IDs created from dimension-0 region
 	// features; they are isolated only if no sub-segment ends at them.
@@ -73,12 +94,12 @@ type subdivision struct {
 	subLines [][]int // per sub-segment: region indices whose lines cover it
 
 	// Sweep-order data, read by face tracing.
-	below       map[string]int      // event point key -> input segment below, or -1
-	neighbours  [][]sweep.Neighbour // per input segment: status neighbours per split point
-	inputSegs   []geom.Segment      // deduplicated canonical input segments
-	inputSplits [][]geom.Point      // sorted unique split points per input segment
-	segIndex    map[[2]int]int      // ID-sorted vertex pair -> sub-segment index
-	subSrc      []splitRef          // per sub-segment: its left end, as a split point of an input segment covering it
+	below       map[geom.PointKey]int // event point key -> input segment below, or -1
+	neighbours  [][]sweep.Neighbour   // per input segment: status neighbours per split point
+	inputSegs   []geom.Segment        // deduplicated canonical input segments
+	inputSplits [][]geom.Point        // sorted unique split points per input segment
+	segIndex    map[[2]int]int        // ID-sorted vertex pair -> sub-segment index
+	subSrc      []splitRef            // per sub-segment: its left end, as a split point of an input segment covering it
 
 	intersectionOps int
 }
@@ -104,31 +125,35 @@ func (s *subdivision) vertexID(p geom.Point) int {
 // (the segment strictly below every event point, and the segments strictly
 // above and below every sub-segment) is kept for face tracing.
 func subdivide(inst *spatial.Instance) *subdivision {
-	sub, keys, isoPts := gatherInput(inst)
+	sub, isoPts := gatherInput(inst)
 	sd := sweep.Subdivide(sub.inputSegs, isoPts)
 	sub.below = sd.Below
 	sub.neighbours = sd.Neighbours
 	sub.intersectionOps = sd.Pairs
-	sub.emit(keys, sd.Splits, isoPts)
+	sub.emit(sd.Splits, isoPts)
 	return sub
 }
 
 // gatherInput collects the distinct input segments of the instance into
-// sub.inputSegs, in the order of their keys (returned alongside), and its
-// distinct isolated points, tagging each with the rings, lines and points
-// that produced it.
-func gatherInput(inst *spatial.Instance) (sub *subdivision, keys []string, isoPts []geom.Point) {
-	sub = &subdivision{pointID: make(map[string]int)}
+// sub.inputSegs and its distinct isolated points, tagging each with the
+// rings, lines and points that produced it.
+//
+// The input segments are ordered by their decimal text "ax,ay;bx,by" (the
+// canonical endpoints' coordinates as rat.R.String), rendered once per
+// distinct segment.  That order numbers the subdivision's vertices and,
+// through them, the invariant's cells, so it reaches the encoded bytes the
+// golden files pin: ordering by coordinates (geom.CmpXY) instead changes
+// the encoding of dozens of their instances.
+func gatherInput(inst *spatial.Instance) (sub *subdivision, isoPts []geom.Point) {
+	sub = &subdivision{pointID: make(map[geom.PointKey]int)}
 	src := &srcTables{
 		names:     inst.Schema().Names(),
-		segRings:  make(map[string][]int),
-		segLines:  make(map[string][]int),
-		pointRegs: make(map[string][]int),
+		pointRegs: make(map[geom.PointKey][]int),
 	}
 	src.areaFeats = make([][]areaFeat, len(src.names))
 	sub.src = src
 
-	segSet := make(map[string]geom.Segment)
+	segID := make(map[geom.SegmentKey]int)
 	for ri, name := range src.names {
 		r := inst.Region(name)
 		for _, f := range r.Features {
@@ -144,29 +169,38 @@ func gatherInput(inst *spatial.Instance) (sub *subdivision, keys []string, isoPt
 					if s.A.Equal(s.B) {
 						continue
 					}
-					c := s.Canonical()
-					segSet[c.Key()] = c
-					src.segLines[c.Key()] = appendUnique(src.segLines[c.Key()], ri)
+					i := sub.inputSeg(s, segID)
+					src.segLines[i] = appendUnique(src.segLines[i], ri)
 				}
 			case region.Dim2:
-				af := areaFeat{outer: src.addRing(ri, f.Outer, segSet)}
+				af := areaFeat{outer: sub.addRing(ri, f.Outer, segID)}
 				for _, h := range f.Holes {
-					af.holes = append(af.holes, src.addRing(ri, h, segSet))
+					af.holes = append(af.holes, sub.addRing(ri, h, segID))
 				}
 				src.areaFeats[ri] = append(src.areaFeats[ri], af)
 			}
 		}
 	}
-	keys = make([]string, 0, len(segSet))
-	for k := range segSet {
-		keys = append(keys, k)
+	text := make([]string, len(sub.inputSegs))
+	order := make([]int, len(sub.inputSegs))
+	for i, c := range sub.inputSegs {
+		text[i] = c.A.X.String() + "," + c.A.Y.String() + ";" + c.B.X.String() + "," + c.B.Y.String()
+		order[i] = i
 	}
-	sort.Strings(keys) // deterministic order
-	sub.inputSegs = make([]geom.Segment, 0, len(segSet))
-	for _, k := range keys {
-		sub.inputSegs = append(sub.inputSegs, segSet[k])
+	slices.SortFunc(order, func(i, j int) int { return strings.Compare(text[i], text[j]) })
+	sub.inputSegs = permute(sub.inputSegs, order)
+	src.segRings = permute(src.segRings, order)
+	src.segLines = permute(src.segLines, order)
+	return sub, isoPts
+}
+
+// permute returns the elements of s in the given order of indices.
+func permute[T any](s []T, order []int) []T {
+	out := make([]T, len(order))
+	for i, j := range order {
+		out[i] = s[j]
 	}
-	return sub, keys, isoPts
+	return out
 }
 
 // emit splits each input segment i at its endpoints and at splits[i] (its
@@ -175,15 +209,15 @@ func gatherInput(inst *spatial.Instance) (sub *subdivision, keys []string, isoPt
 // every input segment that covers it (collinear overlaps make one
 // sub-segment belong to several input segments), and registers the
 // isolated points as vertices.
-func (sub *subdivision) emit(keys []string, splits [][]geom.Point, isoPts []geom.Point) {
+func (sub *subdivision) emit(splits [][]geom.Point, isoPts []geom.Point) {
 	src := sub.src
 	sub.segIndex = make(map[[2]int]int)
 	sub.inputSplits = make([][]geom.Point, len(sub.inputSegs))
 	for i, s := range sub.inputSegs {
 		pts := geom.SortPoints(append([]geom.Point{s.A, s.B}, splits[i]...))
 		sub.inputSplits[i] = pts
-		rk := src.segRings[keys[i]]
-		lk := src.segLines[keys[i]]
+		rk := src.segRings[i]
+		lk := src.segLines[i]
 		for k := 0; k+1 < len(pts); k++ {
 			a := sub.vertexID(pts[k])
 			b := sub.vertexID(pts[k+1])

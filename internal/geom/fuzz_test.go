@@ -68,7 +68,9 @@ func predicateSeed(kind byte, words ...int64) []byte {
 // no shortcut.  CmpYAt is
 // probed at every endpoint x of either segment, at the x where the two
 // supporting lines cross, and at an arbitrary x.  Segments are s = p0p1 and
-// t = p2p3; p4 is the probe point.
+// t = p2p3; p4 is the probe point.  It also checks the map keys: two points
+// have equal keys exactly when they are equal, and two segments exactly
+// when they have the same endpoints, in either orientation.
 func FuzzPredicatesVsBig(f *testing.F) {
 	cat := func(parts ...[]byte) []byte {
 		var out []byte
@@ -100,6 +102,11 @@ func FuzzPredicatesVsBig(f *testing.F) {
 		predicateSeed(2, math.MinInt64, 3, math.MaxInt64, 7), predicateSeed(2, math.MaxInt64, 5, math.MinInt64, 9),
 		predicateSeed(2, -1<<62, 1<<40+1, 1<<62, 3), predicateSeed(2, 1<<61, 1<<20, -1<<61, 1<<21),
 		predicateSeed(2, 3_037_000_500, 1, 3_037_000_499, 1), predicateSeed(2, 1, 2)))
+	// One segment from two kinds of points: s runs from grid (1, 2) to grid
+	// (5, 1), and t is s reversed, from integer points.
+	f.Add(cat(
+		predicateSeed(0, 10_000_000, 20_000_000), predicateSeed(0, 50_000_000, 10_000_000),
+		predicateSeed(1, 5, 1), predicateSeed(1, 1, 2), predicateSeed(1, 3, 3), predicateSeed(1, 3)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &pointSource{data}
 		var p [5]Point
@@ -108,6 +115,19 @@ func FuzzPredicatesVsBig(f *testing.F) {
 		}
 		col := src.coord(src.kind())
 		s, u := Segment{p[0], p[1]}, Segment{p[2], p[3]}
+
+		for _, a := range p {
+			for _, b := range p {
+				if (a.Key() == b.Key()) != a.Equal(b) {
+					t.Fatalf("%v and %v: equal keys %v, Equal %v", a, b, a.Key() == b.Key(), a.Equal(b))
+				}
+			}
+		}
+		same := (s.A.Equal(u.A) && s.B.Equal(u.B)) || (s.A.Equal(u.B) && s.B.Equal(u.A))
+		if s.Key() != s.Reverse().Key() || (s.Key() == u.Key()) != same {
+			t.Fatalf("segment keys of %v and %v: reverse equal %v, equal %v, want %v",
+				s, u, s.Key() == s.Reverse().Key(), s.Key() == u.Key(), same)
+		}
 
 		for _, q := range [][3]int{{0, 1, 4}, {2, 3, 4}, {0, 1, 2}, {4, 3, 0}} {
 			a, b, c := p[q[0]], p[q[1]], p[q[2]]

@@ -10,7 +10,7 @@ package geom
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/rat"
 )
@@ -29,8 +29,12 @@ func PtR(x, y rat.R) Point { return Point{x, y} }
 // Equal reports whether p and q are the same point.
 func (p Point) Equal(q Point) bool { return p.X.Equal(q.X) && p.Y.Equal(q.Y) }
 
-// Key returns a canonical map key for the point.
-func (p Point) Key() string { return p.X.Key() + "," + p.Y.Key() }
+// PointKey is a comparable map key for a point: two points have equal keys
+// exactly when they are equal.
+type PointKey struct{ X, Y rat.Key }
+
+// Key returns the point's map key.
+func (p Point) Key() PointKey { return PointKey{p.X.Key(), p.Y.Key()} }
 
 // String renders the point as "(x, y)".
 func (p Point) String() string { return fmt.Sprintf("(%s, %s)", p.X, p.Y) }
@@ -65,7 +69,7 @@ func Mid(p, q Point) Point { return Point{rat.Mid(p.X, q.X), rat.Mid(p.Y, q.Y)} 
 // if the three points are collinear.
 func Orientation(a, b, c Point) int {
 	// sign of (b.X-a.X)*(c.Y-a.Y) - (b.Y-a.Y)*(c.X-a.X)
-	return rat.CmpMul(b.X.Sub(a.X), c.Y.Sub(a.Y), b.Y.Sub(a.Y), c.X.Sub(a.X))
+	return rat.CmpMulDiff(b.X, a.X, c.Y, a.Y, b.Y, a.Y, c.X, a.X)
 }
 
 // Collinear reports whether a, b and c lie on a common line.
@@ -100,10 +104,14 @@ func (s Segment) Canonical() Segment {
 	return s
 }
 
-// Key returns a canonical, orientation-independent map key.
-func (s Segment) Key() string {
+// SegmentKey is a comparable map key for a segment: the keys of its
+// canonical endpoints, so both orientations share it.
+type SegmentKey struct{ A, B PointKey }
+
+// Key returns the segment's orientation-independent map key.
+func (s Segment) Key() SegmentKey {
 	c := s.Canonical()
-	return c.A.Key() + ";" + c.B.Key()
+	return SegmentKey{c.A.Key(), c.B.Key()}
 }
 
 // IsVertical reports whether the segment is vertical (both endpoints share
@@ -167,12 +175,11 @@ func CmpPointSeg(p Point, s Segment) int {
 // CmpSlope compares the slopes of two non-vertical segments.
 func CmpSlope(s, t Segment) int {
 	s, t = s.Canonical(), t.Canonical()
-	sdx := s.B.X.Sub(s.A.X)
-	tdx := t.B.X.Sub(t.A.X)
-	if sdx.Sign() == 0 || tdx.Sign() == 0 {
+	if s.IsVertical() || t.IsVertical() {
 		panic("geom: CmpSlope of a vertical segment")
 	}
-	return rat.CmpMul(s.B.Y.Sub(s.A.Y), tdx, t.B.Y.Sub(t.A.Y), sdx)
+	// Both x extents are positive after canonicalisation.
+	return rat.CmpMulDiff(s.B.Y, s.A.Y, t.B.X, t.A.X, t.B.Y, t.A.Y, s.B.X, s.A.X)
 }
 
 // Box returns the bounding box of the segment.
@@ -308,15 +315,7 @@ func SegmentIntersection(s, t Segment) Intersection {
 }
 
 func collinearOverlap(s, t Segment) Intersection {
-	// Order the four endpoints along the line and intersect the two ranges.
-	type ep struct {
-		p    Point
-		from int // 0 = s, 1 = t
-	}
-	pts := []ep{{s.A, 0}, {s.B, 0}, {t.A, 1}, {t.B, 1}}
-	sort.Slice(pts, func(i, j int) bool { return CmpXY(pts[i].p, pts[j].p) < 0 })
-	// After sorting, overlap exists iff the first two points are not both
-	// from the same segment, OR they are equal points.
+	// Intersect the two ranges along the line, ordered lexicographically.
 	sLo, sHi := s.Canonical().A, s.Canonical().B
 	tLo, tHi := t.Canonical().A, t.Canonical().B
 	lo := sLo
@@ -555,7 +554,7 @@ func (pl Polyline) Segments() []Segment {
 // SortPoints sorts points lexicographically by (X, Y) in place and removes
 // duplicates, returning the deduplicated slice.
 func SortPoints(pts []Point) []Point {
-	sort.Slice(pts, func(i, j int) bool { return CmpXY(pts[i], pts[j]) < 0 })
+	slices.SortFunc(pts, CmpXY)
 	out := pts[:0]
 	for _, p := range pts {
 		if len(out) == 0 || !out[len(out)-1].Equal(p) {

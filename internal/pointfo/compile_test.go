@@ -55,10 +55,10 @@ func TestMembershipMatrixMatchesGeometry(t *testing.T) {
 	for r, name := range s.Regions {
 		for i, p := range s.Points {
 			if got, want := s.In[r].has(i), ev.inst.Contains(name, p); got != want {
-				t.Errorf("In[%s] bit for %s = %v, geometry says %v", name, p.Key(), got, want)
+				t.Errorf("In[%s] bit for %v = %v, geometry says %v", name, p, got, want)
 			}
 			if got, want := s.Interior[r].has(i), ev.inst.Region(name).ContainsInterior(p); got != want {
-				t.Errorf("Interior[%s] bit for %s = %v, geometry says %v", name, p.Key(), got, want)
+				t.Errorf("Interior[%s] bit for %v = %v, geometry says %v", name, p, got, want)
 			}
 		}
 	}

@@ -19,6 +19,16 @@
 // a result that fits is demoted back to the pair, so a value that fits in
 // int64 is always held as one.  Values are always kept in canonical form:
 // the denominator is positive and gcd(|num|, den) == 1; zero is 0/1.
+//
+// Two operations serve the geometry's inner loops.  Key is a comparable map
+// key built from the canonical pair, so equal values have equal keys without
+// rendering any text; only a math/big value, which never fits a pair, is
+// keyed by its decimal text.  CmpMulDiff, the sign of a difference of
+// products of differences that every orientation test asks for, forms the
+// differences as unreduced pairs, which its 256-bit compare does not need
+// in lowest terms, so it takes no gcd; it falls back to the reduced Sub and
+// CmpMul only when an operand is a math/big value or an intermediate
+// overflows int64.
 package rat
 
 import (
@@ -307,15 +317,58 @@ func (r R) Cmp(s R) int {
 func CmpMul(a, b, c, d R) int {
 	a, b, c, d = a.normalised(), b.normalised(), c.normalised(), d.normalised()
 	if a.isFast() && b.isFast() && c.isFast() && d.isFast() {
-		sl, sr := sign64(a.num)*sign64(b.num), sign64(c.num)*sign64(d.num)
-		if sl != sr || sl == 0 {
-			return sign64(int64(sl - sr))
-		}
-		x := mul256(mul128(mag(a.num), mag(b.num)), mul128(uint64(c.den), uint64(d.den)))
-		y := mul256(mul128(mag(c.num), mag(d.num)), mul128(uint64(a.den), uint64(b.den)))
-		return sl * cmpWords(x[:], y[:])
+		return cmpMulPairs(a, b, c, d)
 	}
 	return a.Mul(b).Cmp(c.Mul(d))
+}
+
+// CmpMulDiff returns the sign of (a1−a0)·(b1−b0) − (c1−c0)·(d1−d0), that is
+// CmpMul(a1.Sub(a0), b1.Sub(b0), c1.Sub(c0), d1.Sub(d0)), without reducing
+// the differences to lowest terms.
+func CmpMulDiff(a1, a0, b1, b0, c1, c0, d1, d0 R) int {
+	a, okA := diffPair(a1, a0)
+	b, okB := diffPair(b1, b0)
+	c, okC := diffPair(c1, c0)
+	d, okD := diffPair(d1, d0)
+	if okA && okB && okC && okD {
+		return cmpMulPairs(a, b, c, d)
+	}
+	return CmpMul(a1.Sub(a0), b1.Sub(b0), c1.Sub(c0), d1.Sub(d0))
+}
+
+// diffPair returns x − y as an int64 pair with a positive denominator that
+// need not be in lowest terms: the numerators' difference over a shared
+// denominator, else the cross products' difference over the denominators'
+// product.  ok is false when x or y is a math/big value or an intermediate
+// overflows int64.  Such a pair is only ever passed to cmpMulPairs, so no R
+// a caller sees is non-canonical.
+func diffPair(x, y R) (R, bool) {
+	x, y = x.normalised(), y.normalised()
+	if !x.isFast() || !y.isFast() {
+		return R{}, false
+	}
+	if x.den == y.den {
+		n, ok := sub64(x.num, y.num)
+		return R{num: n, den: x.den}, ok
+	}
+	n1, ok1 := mul64(x.num, y.den)
+	n2, ok2 := mul64(y.num, x.den)
+	den, ok3 := mul64(x.den, y.den)
+	n, ok4 := sub64(n1, n2)
+	return R{num: n, den: den}, ok1 && ok2 && ok3 && ok4
+}
+
+// cmpMulPairs returns the sign of a·b − c·d for four int64 pairs with
+// positive denominators, in lowest terms or not.  It compares
+// an·bn·cd·dd with cn·dn·ad·bd by sign and then as 256-bit magnitudes.
+func cmpMulPairs(a, b, c, d R) int {
+	sl, sr := sign64(a.num)*sign64(b.num), sign64(c.num)*sign64(d.num)
+	if sl != sr || sl == 0 {
+		return sign64(int64(sl - sr))
+	}
+	x := mul256(mul128(mag(a.num), mag(b.num)), mul128(uint64(c.den), uint64(d.den)))
+	y := mul256(mul128(mag(c.num), mag(d.num)), mul128(uint64(a.den), uint64(b.den)))
+	return sl * cmpWords(x[:], y[:])
 }
 
 // Equal reports whether r == s.
@@ -368,8 +421,23 @@ func (r R) String() string {
 	return r.big.RatString()
 }
 
-// Key returns a canonical string key usable as a map key for exact equality.
-func (r R) Key() string { return r.String() }
+// Key is a comparable map key for exact equality: two values have equal
+// keys exactly when they are equal.  A value that fits int64 is always held
+// as its canonical pair, and its key is that pair; a math/big value never
+// fits, and its key is its decimal text (big.Rat.RatString, also canonical).
+type Key struct {
+	num, den int64
+	big      string
+}
+
+// Key returns r's map key.
+func (r R) Key() Key {
+	r = r.normalised() // the zero value R{} keys as 0/1, like Zero
+	if r.isFast() {
+		return Key{num: r.num, den: r.den}
+	}
+	return Key{big: r.big.RatString()}
+}
 
 // --- small integer helpers -------------------------------------------------
 
@@ -458,6 +526,15 @@ func mul64(a, b int64) (int64, bool) {
 func add64(a, b int64) (int64, bool) {
 	c := a + b
 	if (b > 0 && c < a) || (b < 0 && c > a) {
+		return 0, false
+	}
+	return c, true
+}
+
+// sub64 subtracts with overflow detection.
+func sub64(a, b int64) (int64, bool) {
+	c := a - b
+	if (b > 0 && c > a) || (b < 0 && c < a) {
 		return 0, false
 	}
 	return c, true

@@ -180,11 +180,11 @@ func TestMinInt64EdgeCases(t *testing.T) {
 	if got := m.Mul(New(1, 7)); got.String() != "-9223372036854775808/7" {
 		t.Errorf("MinInt64 * 1/7 = %v, want -9223372036854775808/7", got)
 	}
-	// New must reduce a MinInt64 numerator: Key is the canonical form that
-	// point maps rely on, so equal values must share it.
+	// New must reduce a MinInt64 numerator: Key is built from the canonical
+	// form, and point maps rely on equal values sharing it.
 	got, want := New(math.MinInt64, 6), New(-1<<62, 3)
-	if !got.Equal(want) || got.Key() != want.Key() {
-		t.Errorf("New(MinInt64, 6) = %v (key %q), want %v (key %q)", got, got.Key(), want, want.Key())
+	if !got.Equal(want) || got.Key() != want.Key() || got.String() != want.String() {
+		t.Errorf("New(MinInt64, 6) = %v, want %v with the same key", got, want)
 	}
 }
 
@@ -233,11 +233,22 @@ func TestMustParsePanics(t *testing.T) {
 }
 
 func TestStringAndKey(t *testing.T) {
-	if New(3, 9).Key() != "1/3" {
-		t.Errorf("Key = %q", New(3, 9).Key())
+	if New(3, 9).String() != "1/3" {
+		t.Errorf("String = %q", New(3, 9).String())
 	}
 	if FromInt(5).String() != "5" {
 		t.Errorf("String = %q", FromInt(5).String())
+	}
+	if New(3, 9).Key() != New(1, 3).Key() || New(1, 3).Key() == New(2, 3).Key() {
+		t.Error("Key does not follow equality of values")
+	}
+	// The zero value has denominator 0 inside; it must key as Zero does.
+	if (R{}).Key() != Zero.Key() || (R{}).Key() != New(0, 7).Key() {
+		t.Error("the zero value R{} and Zero have different keys")
+	}
+	huge := FromInt(math.MaxInt64).Add(One) // 2⁶³ lives in math/big
+	if huge.Key() != FromInt(math.MinInt64).Neg().Key() || huge.Key() == FromInt(math.MaxInt64).Key() {
+		t.Error("Key does not follow equality of math/big values")
 	}
 }
 
@@ -343,11 +354,15 @@ func TestPropStringRoundTrips(t *testing.T) {
 	}
 }
 
-// FuzzRatVsBig checks Add, Sub, Mul, Cmp and CmpMul against math/big on
-// four arbitrary int64 pairs, so it reaches the 64-bit edges the property
-// tests above never draw: MinInt64, products near 2⁶³ where the 128- and
-// 256-bit compares take over, and the 10⁻⁷ grid GeoJSON import snaps to.
-// Every result must also be canonical, which is what Key relies on.
+// FuzzRatVsBig checks Add, Sub, Mul, Cmp, CmpMul and CmpMulDiff against
+// math/big on four arbitrary int64 pairs, so it reaches the 64-bit edges the
+// property tests above never draw: MinInt64, products near 2⁶³ where the
+// 128- and 256-bit compares take over, and the 10⁻⁷ grid GeoJSON import
+// snaps to.  Every result must also be canonical, which is what Key relies
+// on: over the inputs and every sum, difference and product, math/big
+// results included, two values have equal keys exactly when they are
+// equal.  CmpMulDiff also gets MaxInt64 and MinInt64 as operands, whose
+// differences overflow int64, so its fallback runs.
 func FuzzRatVsBig(f *testing.F) {
 	const grid = 10_000_000
 	for _, s := range [][8]int64{
@@ -358,6 +373,7 @@ func FuzzRatVsBig(f *testing.F) {
 		{3_037_000_499, 1, 3_037_000_500, 1, 1<<62 + 1, 3, 1<<62 - 1, 5},
 		{1 << 32, 1<<31 - 1, -(1 << 32), 1<<31 + 1, 1 << 31, 1<<32 + 3, 1<<31 + 7, 1 << 32},
 		{0, -5, 5, math.MinInt64, -3, math.MinInt64 + 1, math.MaxInt64, 2},
+		{3, 9, 1, 3, -2, -6, 20_000_000, grid},
 	} {
 		f.Add(s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7])
 	}
@@ -372,14 +388,24 @@ func FuzzRatVsBig(f *testing.F) {
 			bigs[i] = new(big.Rat).SetFrac(big.NewInt(p[0]), big.NewInt(p[1]))
 			checkVsBig(t, fmt.Sprintf("New(%d, %d)", p[0], p[1]), vals[i], bigs[i])
 		}
+		all := vals[:]
 		for i, x := range vals {
 			for j, y := range vals {
 				bx, by := bigs[i], bigs[j]
-				checkVsBig(t, fmt.Sprintf("%v + %v", x, y), x.Add(y), new(big.Rat).Add(bx, by))
-				checkVsBig(t, fmt.Sprintf("%v - %v", x, y), x.Sub(y), new(big.Rat).Sub(bx, by))
-				checkVsBig(t, fmt.Sprintf("%v * %v", x, y), x.Mul(y), new(big.Rat).Mul(bx, by))
+				sum, diff, prod := x.Add(y), x.Sub(y), x.Mul(y)
+				checkVsBig(t, fmt.Sprintf("%v + %v", x, y), sum, new(big.Rat).Add(bx, by))
+				checkVsBig(t, fmt.Sprintf("%v - %v", x, y), diff, new(big.Rat).Sub(bx, by))
+				checkVsBig(t, fmt.Sprintf("%v * %v", x, y), prod, new(big.Rat).Mul(bx, by))
 				if got, want := x.Cmp(y), bx.Cmp(by); got != want {
 					t.Fatalf("Cmp(%v, %v) = %d, want %d", x, y, got, want)
+				}
+				all = append(all, sum, diff, prod)
+			}
+		}
+		for _, x := range all {
+			for _, y := range all {
+				if (x.Key() == y.Key()) != (x.Cmp(y) == 0) {
+					t.Fatalf("%v and %v: equal keys %v, Cmp %d", x, y, x.Key() == y.Key(), x.Cmp(y))
 				}
 			}
 		}
@@ -391,8 +417,32 @@ func FuzzRatVsBig(f *testing.F) {
 				t.Fatalf("CmpMul(%v, %v, %v, %v) = %d, want %d", a, b, c, d, got, want)
 			}
 		}
+		// Operands 4 and 5 are MaxInt64 and MinInt64, so differences with
+		// them overflow int64 (4 − 5 always); 6 may be a math/big value.
+		pool := []R{vals[0], vals[1], vals[2], vals[3], FromInt(math.MaxInt64), FromInt(math.MinInt64), vals[0].Mul(vals[1])}
+		for _, q := range [][8]int{
+			{0, 1, 2, 3, 1, 2, 3, 0}, {4, 5, 0, 1, 2, 3, 1, 0}, {0, 5, 1, 2, 3, 4, 2, 1},
+			{6, 0, 1, 3, 2, 6, 0, 3}, {1, 1, 2, 3, 0, 2, 3, 1}, {0, 2, 0, 2, 1, 3, 1, 3},
+		} {
+			var o [8]R
+			var d [4]*big.Rat
+			for i := range o {
+				o[i] = pool[q[i]]
+			}
+			for i := range d {
+				d[i] = new(big.Rat).Sub(ratBig(o[2*i]), ratBig(o[2*i+1]))
+			}
+			want := new(big.Rat).Mul(d[0], d[1]).Cmp(new(big.Rat).Mul(d[2], d[3]))
+			if got := CmpMulDiff(o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7]); got != want {
+				t.Fatalf("CmpMulDiff%v = %d, want %d", o, got, want)
+			}
+		}
 	})
 }
+
+// ratBig returns r as a big.Rat, built from its exact numerator and
+// denominator.
+func ratBig(r R) *big.Rat { return new(big.Rat).SetFrac(r.Num(), r.Den()) }
 
 // checkVsBig fails unless got equals want in canonical form, and unless
 // Int64s reports exactly the values whose numerator and denominator fit in

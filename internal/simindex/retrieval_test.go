@@ -277,7 +277,7 @@ func shareBorder(f, g region.Feature) bool {
 	if f.Dim != region.Dim2 || g.Dim != region.Dim2 {
 		return false
 	}
-	seen := make(map[string]bool, len(f.Outer.Vertices))
+	seen := make(map[geom.PointKey]bool, len(f.Outer.Vertices))
 	for _, p := range f.Outer.Vertices {
 		seen[p.Key()] = true
 	}

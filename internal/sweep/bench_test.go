@@ -8,17 +8,19 @@ import (
 	"repro/internal/sweep"
 )
 
-// BenchmarkImportValidation pins the asymptotic win the raised GeoJSON
-// vertex budgets depend on: quadratic vs sweep ring validation at 1k and
-// 10k vertices (the quadratic checker is omitted beyond that — 7.4s at 10k
-// scales to minutes at 50k), with the sweep also measured at 100k, the new
-// MaxRingVertices.  CI runs this with -benchtime=1x and archives the
-// parsed output as BENCH_ci.json, so the asymptotic gap is tracked over
-// time.
+// BenchmarkImportValidation compares quadratic and sweep ring validation on
+// sawtooth rings.  At 8 to 64 vertices it measures the crossover that sets
+// ValidateArea's quadraticCutoff.  At 1k and 10k vertices it pins the
+// asymptotic win the raised GeoJSON vertex budgets depend on (the quadratic
+// checker is omitted beyond that — 7.4s at 10k scales to minutes at 50k),
+// with the sweep also measured at 100k, the new MaxRingVertices.  CI runs
+// this with -benchtime=1x and archives the parsed output as BENCH_ci.json,
+// so the asymptotic gap is tracked over time.
 func BenchmarkImportValidation(b *testing.B) {
-	for _, n := range []int{1000, 10000} {
+	for _, n := range []int{8, 16, 32, 48, 64, 1000, 10000} {
 		pg := sawtoothRing(n)
 		b.Run(fmt.Sprintf("quadratic/%dv", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := sweep.ValidateAreaQuadratic(pg, nil); err != nil {
 					b.Fatal(err)
@@ -26,6 +28,7 @@ func BenchmarkImportValidation(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("sweep/%dv", n), func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if err := sweep.ValidateAreaSweep(pg, nil); err != nil {
 					b.Fatal(err)
@@ -35,6 +38,7 @@ func BenchmarkImportValidation(b *testing.B) {
 	}
 	pg := sawtoothRing(100000)
 	b.Run("sweep/100000v", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := sweep.ValidateAreaSweep(pg, nil); err != nil {
 				b.Fatal(err)
@@ -55,6 +59,7 @@ func BenchmarkValidateAreaHoles(b *testing.B) {
 		}
 	}
 	b.Run("sweep/256holes", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := sweep.ValidateAreaSweep(outer, holes); err != nil {
 				b.Fatal(err)
@@ -62,6 +67,7 @@ func BenchmarkValidateAreaHoles(b *testing.B) {
 		}
 	})
 	b.Run("quadratic/256holes", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if err := sweep.ValidateAreaQuadratic(outer, holes); err != nil {
 				b.Fatal(err)

@@ -18,11 +18,12 @@ type Subdivision struct {
 	// and may include the segment's own endpoints; callers sort/deduplicate.
 	Splits [][]geom.Point
 
-	// Below maps the Key() of every event point the sweep processed — all
-	// segment endpoints, every intersection point and every probe point — to
-	// the index of the input segment whose supporting line passed strictly
-	// below the point at the moment the sweep reached it (before the event
-	// mutated the status), or -1 when the status held nothing below.
+	// Below maps the Point.Key of every event point the sweep processed —
+	// all segment endpoints, every intersection point and every probe point
+	// — to the index of the input segment whose supporting line passed
+	// strictly below the point at the moment the sweep reached it (before
+	// the event mutated the status), or -1 when the status held nothing
+	// below.
 	//
 	// This is the sweep order threaded into face tracing: the face directly
 	// below an event point is the face above that predecessor, so hole cycles
@@ -35,7 +36,7 @@ type Subdivision struct {
 	// lexicographically smallest point of its connected component (the
 	// vertical's lower endpoint is smaller) and never an isolated point, so
 	// looking up only those two kinds of point never misses.
-	Below map[string]int
+	Below map[geom.PointKey]int
 
 	// Neighbours[i] holds, for non-vertical input segment i, one record per
 	// distinct split point except the segment's right end, in increasing x:
@@ -74,7 +75,7 @@ func Subdivide(segs []geom.Segment, probePts []geom.Point) *Subdivision {
 	start := time.Now()
 	res := &Subdivision{
 		Splits:     make([][]geom.Point, len(segs)),
-		Below:      make(map[string]int),
+		Below:      make(map[geom.PointKey]int),
 		Neighbours: make([][]Neighbour, len(segs)),
 	}
 	sw := newSweeper(segs, func(p Pair) bool {
@@ -92,7 +93,7 @@ func Subdivide(segs []geom.Segment, probePts []geom.Point) *Subdivision {
 	sw.belowOut = res.Below
 	sw.nbrOut = res.Neighbours
 	if len(probePts) > 0 {
-		sw.probe = make(map[string]bool, len(probePts))
+		sw.probe = make(map[geom.PointKey]bool, len(probePts))
 		for _, p := range probePts {
 			sw.probe[p.Key()] = true
 		}

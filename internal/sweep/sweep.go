@@ -41,7 +41,8 @@
 package sweep
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/geom"
@@ -91,11 +92,11 @@ type sweeper struct {
 
 	events []geom.Point // static endpoint events, lex-sorted, deduplicated
 	eventI int
-	dyn    pointHeap       // dynamically scheduled crossing events
-	queued map[string]bool // every point ever queued (dedup for schedule)
+	dyn    pointHeap              // dynamically scheduled crossing events
+	queued map[geom.PointKey]bool // every point ever queued (dedup for schedule)
 
-	starts  map[string][]int // canonical left endpoint → non-vertical segments
-	vstarts map[string][]int // canonical low endpoint → vertical segments
+	starts  map[geom.PointKey][]int // canonical left endpoint → non-vertical segments
+	vstarts map[geom.PointKey][]int // canonical low endpoint → vertical segments
 
 	// Verticals live only while the sweep is at their x: actVert lists the
 	// verticals of the current x already processed (in ascending low-y
@@ -113,19 +114,19 @@ type sweeper struct {
 	// queries maps an event point key to rank-query outputs: the number of
 	// status segments strictly below the point at the moment the sweep
 	// reaches it (before any mutation there).
-	queries map[string][]*int
+	queries map[geom.PointKey][]*int
 
 	// belowOut, when non-nil, receives for every event point the index of the
 	// status segment strictly below it (or -1), recorded before the event
 	// mutates the status.  This is the sweep-order predecessor the
 	// subdivision client threads into face tracing.
-	belowOut map[string]int
+	belowOut map[geom.PointKey]int
 
 	// probe marks event points whose full incidence set (every input segment
 	// containing the point) should be reported to onProbe.  The subdivision
 	// client uses this to split segments at isolated region points without an
 	// O(points×segments) scan.
-	probe   map[string]bool
+	probe   map[geom.PointKey]bool
 	onProbe func(p geom.Point, segs []int)
 
 	// nbrOut, when non-nil, receives the neighbour records of the
@@ -147,11 +148,11 @@ func newSweeper(segs []geom.Segment, visit func(Pair) bool) *sweeper {
 	sw := &sweeper{
 		visit:    visit,
 		segs:     make([]geom.Segment, len(segs)),
-		starts:   map[string][]int{},
-		vstarts:  map[string][]int{},
-		queued:   map[string]bool{},
+		starts:   map[geom.PointKey][]int{},
+		vstarts:  map[geom.PointKey][]int{},
+		queued:   map[geom.PointKey]bool{},
 		reported: map[uint64]bool{},
-		queries:  map[string][]*int{},
+		queries:  map[geom.PointKey][]*int{},
 		nodeOf:   make([]*node, len(segs)),
 		rngState: 0x9E3779B97F4A7C15, // fixed seed: deterministic treap shape
 	}
@@ -162,14 +163,15 @@ func newSweeper(segs []geom.Segment, visit func(Pair) bool) *sweeper {
 		}
 		c := s.Canonical()
 		sw.segs[i] = c
+		k := c.A.Key()
 		if c.IsVertical() {
-			sw.vstarts[c.A.Key()] = append(sw.vstarts[c.A.Key()], i)
+			sw.vstarts[k] = append(sw.vstarts[k], i)
 		} else {
-			sw.starts[c.A.Key()] = append(sw.starts[c.A.Key()], i)
+			sw.starts[k] = append(sw.starts[k], i)
 		}
 		pts = append(pts, c.A, c.B)
 	}
-	sort.Slice(pts, func(i, j int) bool { return geom.CmpXY(pts[i], pts[j]) < 0 })
+	slices.SortFunc(pts, geom.CmpXY)
 	for _, p := range pts {
 		if len(sw.events) == 0 || !sw.events[len(sw.events)-1].Equal(p) {
 			sw.events = append(sw.events, p)
@@ -182,7 +184,8 @@ func newSweeper(segs []geom.Segment, visit func(Pair) bool) *sweeper {
 // addQuery registers a rank query at an event point (it must be an endpoint
 // of some input segment, or it will never fire).
 func (sw *sweeper) addQuery(p geom.Point, out *int) {
-	sw.queries[p.Key()] = append(sw.queries[p.Key()], out)
+	k := p.Key()
+	sw.queries[k] = append(sw.queries[k], out)
 }
 
 // addEventPoints merges extra static event points into the queue.  It must be
@@ -192,15 +195,16 @@ func (sw *sweeper) addQuery(p geom.Point, out *int) {
 func (sw *sweeper) addEventPoints(pts []geom.Point) {
 	added := false
 	for _, p := range pts {
-		if sw.queued[p.Key()] {
+		k := p.Key()
+		if sw.queued[k] {
 			continue
 		}
-		sw.queued[p.Key()] = true
+		sw.queued[k] = true
 		sw.events = append(sw.events, p)
 		added = true
 	}
 	if added {
-		sort.Slice(sw.events, func(i, j int) bool { return geom.CmpXY(sw.events[i], sw.events[j]) < 0 })
+		slices.SortFunc(sw.events, geom.CmpXY)
 	}
 }
 
@@ -312,11 +316,11 @@ func (sw *sweeper) run() {
 		// through p, so y-at-x ties; collinear overlaps tie fully and fall
 		// back to input order).
 		ins := append(through, ups...)
-		sort.Slice(ins, func(i, j int) bool {
-			if c := geom.CmpSlope(sw.segs[ins[i]], sw.segs[ins[j]]); c != 0 {
-				return c < 0
+		slices.SortFunc(ins, func(i, j int) int {
+			if c := geom.CmpSlope(sw.segs[i], sw.segs[j]); c != 0 {
+				return c
 			}
-			return ins[i] < ins[j]
+			return cmp.Compare(i, j)
 		})
 		for _, s := range ins {
 			sw.queueNeighbours(s) // p splits s and is not its right end

@@ -25,12 +25,14 @@ import (
 	"repro/internal/geom"
 )
 
-// quadraticCutoff is the total vertex count below which ValidateArea uses
+// quadraticCutoff is the total vertex count up to which ValidateArea uses
 // the brute-force checker: at small sizes the sweep's event queue and status
-// structure cost more than testing every pair.  Measured crossover on
-// sawtooth rings is between 32 and 64 vertices (quadratic 99µs vs sweep
-// 124µs at 32; 349µs vs 251µs at 64); 48 splits the difference and keeps
-// typical ~80-vertex cartographic polygons on the sweep path.
+// structure cost more than testing every pair.  On sawtooth rings
+// (BenchmarkImportValidation, 2-vCPU Xeon, medians of 3 rounds) the
+// quadratic checker takes 8.8µs at 8 vertices, 21µs at 16 and 84µs at 32,
+// against the sweep's 26µs, 50µs and 99µs; the sweep wins at 48 (150µs vs
+// 172µs) and 64 (208µs vs 312µs).  The crossover thus lies between 32 and
+// 48, and typical ~80-vertex cartographic polygons take the sweep.
 const quadraticCutoff = 48
 
 // ringPairAllowed reports whether an intersection between edges i < j of the
