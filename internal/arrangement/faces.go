@@ -108,11 +108,15 @@ func traceFaces(sub *subdivision) (*fullComplex, error) {
 		}
 	}
 	fc.addFaces()
-	fc.assignBySweepOrder()
+	if err := fc.assignBySweepOrder(); err != nil {
+		return nil, err
+	}
 	fc.recordHalfEdgeFaces()
 	for _, v := range sub.isolatedCandidates {
 		if len(fc.vertexOut[v]) == 0 {
-			fc.vertexFace[v] = fc.resolveBelow(sub.points[v])
+			if fc.vertexFace[v], err = fc.resolveBelow(sub.points[v]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return fc, nil
@@ -217,9 +221,10 @@ func (fc *fullComplex) recordHalfEdgeFaces() {
 // --- sweep-order location ---------------------------------------------------
 //
 // Hole cycles and isolated vertices are located from the sweep's status
-// order.  For an event point p, sub.below[p.Key()] names the non-vertical
-// input segment whose supporting line passed strictly below p when the
-// sweep reached it.  The obstruction directly below p is either a
+// order.  For an event point p that nothing passes through, ends at or
+// reaches from below, sub.below[p.Key()] names the non-vertical input
+// segment whose supporting line passed strictly below p when the sweep
+// reached it.  The obstruction directly below p is either a
 // point strictly inside a sub-segment of that segment, or a subdivision
 // vertex in p's own x column — the column covers what the status cannot see:
 // vertical segments (never in the status) and segments removed at an earlier
@@ -243,14 +248,15 @@ func (fc *fullComplex) buildColumns() {
 }
 
 // blockerCycle returns the id of the cycle bounding the face directly below
-// p, or -1 when a downward ray from p escapes to infinity.  p must be an
-// event point of the sweep not lying on any sub-segment interior above the
-// blocker (hole-cycle lex-min vertices and isolated vertices qualify).
-func (fc *fullComplex) blockerCycle(p geom.Point) int {
+// p, or -1 when a downward ray from p escapes to infinity.  p must be a
+// point the sweep recorded in sub.below: one that no segment passes through
+// or ends at and no vertical reaches from below (hole-cycle lex-min vertices
+// and isolated vertices qualify).
+func (fc *fullComplex) blockerCycle(p geom.Point) (int, error) {
 	sub := fc.sub
-	bs := -1
-	if b, ok := sub.below[p.Key()]; ok {
-		bs = b
+	bs, ok := sub.below[p.Key()]
+	if !ok {
+		return -1, fmt.Errorf("arrangement: no sweep record below %v", p)
 	}
 	// Highest non-isolated vertex strictly below p in p's column.
 	w := -1
@@ -264,17 +270,17 @@ func (fc *fullComplex) blockerCycle(p geom.Point) int {
 	}
 	switch {
 	case bs < 0 && w < 0:
-		return -1
+		return -1, nil
 	case bs >= 0 && (w < 0 || sub.points[w].Y.Less(sub.inputSegs[bs].YAt(p.X))):
 		// The blocker lies strictly inside a sub-segment of bs, whose even
 		// half-edge runs left to right; the face above is on its left.
-		return fc.heCycle[2*sub.subSegAt(bs, p)]
+		return fc.heCycle[2*sub.subSegAt(bs, p)], nil
 	default:
 		// The blocker is vertex w.  w has no upward edge (its target would
 		// be a column vertex contradicting w's maximality, or a vertex in
 		// the edge's interior), so the upward direction, towards p, lies
 		// strictly inside one of w's angular sectors.
-		return fc.sectorCycle(w, p)
+		return fc.sectorCycle(w, p), nil
 	}
 }
 
@@ -320,7 +326,7 @@ func (fc *fullComplex) lexMinVertex(c *cycleInfo) int {
 // vertex; since a blocker is always lexicographically smaller than the point
 // it blocks, the links are acyclic and resolve to a positive cycle's face or
 // to the exterior.
-func (fc *fullComplex) assignBySweepOrder() {
+func (fc *fullComplex) assignBySweepOrder() error {
 	fc.buildColumns()
 	links := make([]int, len(fc.cycles))
 	fc.cycleFace = make([]int, len(fc.cycles))
@@ -331,7 +337,10 @@ func (fc *fullComplex) assignBySweepOrder() {
 			fc.cycleFace[c.id] = c.face
 			continue
 		}
-		links[c.id] = fc.blockerCycle(fc.sub.points[fc.lexMinVertex(c)])
+		var err error
+		if links[c.id], err = fc.blockerCycle(fc.sub.points[fc.lexMinVertex(c)]); err != nil {
+			return err
+		}
 	}
 	var resolve func(cid int) int
 	resolve = func(cid int) int {
@@ -349,6 +358,7 @@ func (fc *fullComplex) assignBySweepOrder() {
 		}
 		c.face = resolve(c.id)
 	}
+	return nil
 }
 
 // sweepRep returns a point strictly inside the bounded face left of a
@@ -386,12 +396,12 @@ func (fc *fullComplex) sweepRep(c *cycleInfo) (geom.Point, error) {
 
 // resolveBelow returns the face containing the isolated vertex at p.  It
 // must run after assignBySweepOrder, which resolves every cycle's face.
-func (fc *fullComplex) resolveBelow(p geom.Point) int {
-	cid := fc.blockerCycle(p)
-	if cid < 0 {
-		return fc.exteriorFace
+func (fc *fullComplex) resolveBelow(p geom.Point) (int, error) {
+	cid, err := fc.blockerCycle(p)
+	if err != nil || cid < 0 {
+		return fc.exteriorFace, err
 	}
-	return fc.cycleFace[cid]
+	return fc.cycleFace[cid], nil
 }
 
 // cycleArea2 returns twice the signed area of the closed polygonal curve

@@ -21,7 +21,7 @@ var (
 		"Elementary sub-segments produced by subdivision.")
 	mIntersectionOps = obs.Default.Counter(
 		"topoinv_arrangement_intersection_ops_total",
-		"Exact segment-pair intersection computations performed.")
+		"Intersecting segment pairs found by the subdivision sweep.")
 	mFacesClassified = obs.Default.Counter(
 		"topoinv_arrangement_faces_classified_total",
 		"Faces traced and sign-classified across all builds.")

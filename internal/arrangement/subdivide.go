@@ -145,7 +145,7 @@ func subdivide(inst *spatial.Instance) *subdivision {
 // golden files pin: ordering by coordinates (geom.CmpXY) instead changes
 // the encoding of dozens of their instances.
 func gatherInput(inst *spatial.Instance) (sub *subdivision, isoPts []geom.Point) {
-	sub = &subdivision{pointID: make(map[geom.PointKey]int)}
+	sub = &subdivision{}
 	src := &srcTables{
 		names:     inst.Schema().Names(),
 		pointRegs: make(map[geom.PointKey][]int),
@@ -153,7 +153,18 @@ func gatherInput(inst *spatial.Instance) (sub *subdivision, isoPts []geom.Point)
 	src.areaFeats = make([][]areaFeat, len(src.names))
 	sub.src = src
 
-	segID := make(map[geom.SegmentKey]int)
+	// Ring vertices and line points bound the number of input segments.
+	n := 0
+	for _, name := range src.names {
+		for _, f := range inst.Region(name).Features {
+			n += len(f.Line.Points) + len(f.Outer.Vertices)
+			for _, h := range f.Holes {
+				n += len(h.Vertices)
+			}
+		}
+	}
+	segID := make(map[geom.SegmentKey]int, n)
+	sub.inputSegs = make([]geom.Segment, 0, n)
 	for ri, name := range src.names {
 		r := inst.Region(name)
 		for _, f := range r.Features {
@@ -204,17 +215,18 @@ func permute[T any](s []T, order []int) []T {
 }
 
 // emit splits each input segment i at its endpoints and at splits[i] (its
-// intersections with other segments and the isolated points on it).  It
-// emits each elementary sub-segment once, merging the boundary sources of
-// every input segment that covers it (collinear overlaps make one
-// sub-segment belong to several input segments), and registers the
-// isolated points as vertices.
+// intersections with other segments and the isolated points on it), which
+// it sorts in place.  It emits each elementary sub-segment once, merging
+// the boundary sources of every input segment that covers it (collinear
+// overlaps make one sub-segment belong to several input segments), and
+// registers the isolated points as vertices.
 func (sub *subdivision) emit(splits [][]geom.Point, isoPts []geom.Point) {
 	src := sub.src
-	sub.segIndex = make(map[[2]int]int)
+	sub.pointID = make(map[geom.PointKey]int, len(sub.inputSegs)+len(isoPts))
+	sub.segIndex = make(map[[2]int]int, len(sub.inputSegs))
 	sub.inputSplits = make([][]geom.Point, len(sub.inputSegs))
 	for i, s := range sub.inputSegs {
-		pts := geom.SortPoints(append([]geom.Point{s.A, s.B}, splits[i]...))
+		pts := geom.SortPoints(append(splits[i], s.A, s.B))
 		sub.inputSplits[i] = pts
 		rk := src.segRings[i]
 		lk := src.segLines[i]

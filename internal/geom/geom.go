@@ -486,22 +486,16 @@ func (pg Polygon) Locate(p Point) PointLocation {
 	crossings := 0
 	n := len(pg.Vertices)
 	for i := 0; i < n; i++ {
-		a, b := pg.Vertices[i], pg.Vertices[(i+1)%n]
-		// Standard half-open rule: count edge if it crosses the horizontal
-		// line y = p.Y with a.Y <= p.Y < b.Y or b.Y <= p.Y < a.Y, and the
-		// crossing is strictly to the right of p.
-		aBelow := a.Y.LessEq(p.Y) && !a.Y.Equal(p.Y) || a.Y.Equal(p.Y)
-		_ = aBelow
-		cond1 := a.Y.LessEq(p.Y) && p.Y.Less(b.Y)
-		cond2 := b.Y.LessEq(p.Y) && p.Y.Less(a.Y)
-		if cond1 || cond2 {
-			// x coordinate of the edge at height p.Y:
-			// a.X + (p.Y - a.Y) * (b.X - a.X) / (b.Y - a.Y)
-			t := p.Y.Sub(a.Y).Div(b.Y.Sub(a.Y))
-			x := a.X.Add(t.Mul(b.X.Sub(a.X)))
-			if p.X.Less(x) {
-				crossings++
-			}
+		lo, hi := pg.Vertices[i], pg.Vertices[(i+1)%n]
+		if hi.Y.Less(lo.Y) {
+			lo, hi = hi, lo
+		}
+		// Standard half-open rule: count the edge if it crosses the
+		// horizontal line y = p.Y with lo.Y <= p.Y < hi.Y, and the crossing
+		// is strictly to the right of p, that is, p lies strictly left of
+		// the edge directed upward.
+		if lo.Y.LessEq(p.Y) && p.Y.Less(hi.Y) && Orientation(lo, hi, p) > 0 {
+			crossings++
 		}
 	}
 	if crossings%2 == 1 {

@@ -305,6 +305,78 @@ func TestPolygonLocate(t *testing.T) {
 	if l.Locate(Pt(1, 3)) != Inside {
 		t.Error("point in the leg should be inside")
 	}
+
+	// A non-convex ring with horizontal edges (y = 0 and y = 3), in both
+	// orientations, against the crossing rule computed by division: a grid
+	// of half-integer points covers every vertex height and both
+	// horizontal edges, and each edge gets points beside its midpoint.
+	ring := MustPolygon(Pt(0, 0), Pt(10, 0), Pt(10, 3), Pt(7, 3), Pt(6, 6), Pt(4, 2), Pt(2, 6), Pt(0, 5))
+	third := rat.New(1, 3)
+	var pts []Point
+	for x := int64(-2); x <= 22; x++ {
+		for y := int64(-2); y <= 14; y++ {
+			pts = append(pts, PtR(rat.New(x, 2), rat.New(y, 2)))
+		}
+	}
+	for _, e := range ring.Edges() {
+		m := Mid(e.A, e.B)
+		pts = append(pts, m, PtR(m.X.Sub(third), m.Y), PtR(m.X.Add(third), m.Y),
+			PtR(m.X, m.Y.Sub(third)), PtR(m.X, m.Y.Add(third)))
+	}
+	counts := map[PointLocation]int{}
+	for _, pg := range []Polygon{ring, ring.Reverse()} {
+		for _, p := range pts {
+			got, want := pg.Locate(p), locateByDivision(pg, p)
+			if got != want {
+				t.Fatalf("Locate(%v) = %v, the division rule says %v", p, got, want)
+			}
+			counts[got]++
+		}
+	}
+	if counts[Inside] == 0 || counts[Outside] == 0 || counts[OnBoundary] == 0 {
+		t.Fatalf("point set misses a location class: %v", counts)
+	}
+	for _, c := range []struct {
+		p    Point
+		want PointLocation
+	}{
+		{Pt(5, 3), Inside},     // at a horizontal edge's height, left of it
+		{Pt(8, 3), OnBoundary}, // on the horizontal edge
+		{Pt(11, 3), Outside},   // at its height, right of the ring
+		{Pt(4, 4), Outside},    // in the notch, at the height of no vertex
+		{Pt(3, 2), Inside},     // at the notch vertex's height
+		{Pt(-1, 5), Outside},   // at a vertex height, left of the ring
+	} {
+		if got := ring.Locate(c.p); got != c.want {
+			t.Errorf("Locate(%v) = %v, want %v", c.p, got, c.want)
+		}
+	}
+}
+
+// locateByDivision is Locate's half-open ray-crossing rule with the
+// crossing's x computed explicitly, a.X + (p.Y-a.Y)·(b.X-a.X)/(b.Y-a.Y),
+// as the reference the orientation test must agree with.
+func locateByDivision(pg Polygon, p Point) PointLocation {
+	for _, e := range pg.Edges() {
+		if e.ContainsPoint(p) {
+			return OnBoundary
+		}
+	}
+	crossings := 0
+	n := len(pg.Vertices)
+	for i := 0; i < n; i++ {
+		a, b := pg.Vertices[i], pg.Vertices[(i+1)%n]
+		if (a.Y.LessEq(p.Y) && p.Y.Less(b.Y)) || (b.Y.LessEq(p.Y) && p.Y.Less(a.Y)) {
+			t := p.Y.Sub(a.Y).Div(b.Y.Sub(a.Y))
+			if p.X.Less(a.X.Add(t.Mul(b.X.Sub(a.X)))) {
+				crossings++
+			}
+		}
+	}
+	if crossings%2 == 1 {
+		return Inside
+	}
+	return Outside
 }
 
 func TestPolyline(t *testing.T) {

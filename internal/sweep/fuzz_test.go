@@ -55,13 +55,17 @@ func decodeRings(data []byte) (outer geom.Polygon, holes []geom.Polygon, ok bool
 	return outer, holes, true
 }
 
-// encodeRing is the seeding inverse of decodeRings for a single ring
-// (workload coordinates are clipped onto the fuzz grid; the seeds only need
-// to carry the shapes' structure, not their exact embedding).
-func encodeRing(pg geom.Polygon) []byte {
-	out := []byte{0}
-	for _, v := range pg.Vertices {
-		out = append(out, byte(int8(v.X.Float())), byte(int8(v.Y.Float())))
+// encodeRings is the seeding inverse of decodeRings for an outer ring and up
+// to three holes, all with the same vertex count (decodeRings splits the
+// points evenly).  Workload coordinates are clipped onto the fuzz grid; the
+// seeds only need to carry the shapes' structure, not their exact
+// embedding.
+func encodeRings(rings ...geom.Polygon) []byte {
+	out := []byte{byte(len(rings) - 1)}
+	for _, pg := range rings {
+		for _, v := range pg.Vertices {
+			out = append(out, byte(int8(v.X.Float())), byte(int8(v.Y.Float())))
+		}
 	}
 	return out
 }
@@ -70,9 +74,11 @@ func encodeRing(pg geom.Polygon) []byte {
 // checked two ways against the brute-force reference — ValidateAreaSweep vs
 // ValidateAreaQuadratic (which tests ring simplicity with
 // geom.Polygon.IsSimple) on the ring-plus-holes split, and the full
-// Intersections pair set vs the all-pairs scan — and any verdict mismatch
-// fails.  Seeds cover all five workload generators plus hand-built
-// degenerate rings (vertical edges, collinear spikes, bowties).
+// Intersections pair set, with each pair's exact intersection point or
+// overlap, vs the all-pairs scan — and any mismatch fails.  Seeds cover all
+// five workload generators plus hand-built degenerate rings (vertical
+// edges, collinear spikes, bowties) and ring sets whose edges meet at
+// multi-segment points.
 func FuzzSweepVsQuadratic(f *testing.F) {
 	// Workload-derived seeds: real cartographic ring shapes.
 	for _, inst := range workloadInstances(f) {
@@ -80,7 +86,7 @@ func FuzzSweepVsQuadratic(f *testing.F) {
 			reg := inst.Region(name)
 			for _, feat := range reg.Features {
 				if len(feat.Outer.Vertices) >= 3 && len(feat.Outer.Vertices) <= 48 {
-					f.Add(encodeRing(feat.Outer))
+					f.Add(encodeRings(feat.Outer))
 				}
 			}
 		}
@@ -94,7 +100,7 @@ func FuzzSweepVsQuadratic(f *testing.F) {
 		geom.MustPolygon(geom.Pt(0, 0), geom.Pt(2, 0), geom.Pt(4, 0), geom.Pt(4, 4), geom.Pt(0, 4)),         // collinear but simple
 	}
 	for _, pg := range hand {
-		f.Add(encodeRing(pg))
+		f.Add(encodeRings(pg))
 	}
 	// An annulus with the hole bytes appended (exercises the hole split).
 	annulus := []byte{1}
@@ -106,6 +112,21 @@ func FuzzSweepVsQuadratic(f *testing.F) {
 	var raw [16]byte
 	binary.LittleEndian.PutUint64(raw[:8], 0x0123456789abcdef)
 	f.Add(raw[:])
+	// Ring sets: three triangles meeting at (4, 4), six edges there; a hole
+	// whose two collinear edges overlap the outer ring's bottom edge and
+	// meet at a vertex inside it; and a vertical edge through (4, 4), where
+	// two rings touch with four edges.
+	tri := func(a, b, c geom.Point) geom.Polygon { return geom.Polygon{Vertices: []geom.Point{a, b, c}} }
+	quad := func(a, b, c, d geom.Point) geom.Polygon { return geom.Polygon{Vertices: []geom.Point{a, b, c, d}} }
+	f.Add(encodeRings(
+		tri(geom.Pt(4, 4), geom.Pt(8, 4), geom.Pt(8, 6)),
+		tri(geom.Pt(4, 4), geom.Pt(4, 8), geom.Pt(2, 8)),
+		tri(geom.Pt(4, 4), geom.Pt(0, 2), geom.Pt(2, 0))))
+	f.Add(encodeRings(geom.Rect(0, 0, 8, 8), quad(geom.Pt(2, 0), geom.Pt(4, 0), geom.Pt(6, 0), geom.Pt(4, 3))))
+	f.Add(encodeRings(
+		quad(geom.Pt(0, 0), geom.Pt(4, 4), geom.Pt(0, 8), geom.Pt(-2, 4)),
+		quad(geom.Pt(4, 4), geom.Pt(8, 0), geom.Pt(10, 4), geom.Pt(8, 8)),
+		geom.Rect(4, 1, 5, 7)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
@@ -131,30 +152,14 @@ func FuzzSweepVsQuadratic(f *testing.F) {
 		for _, h := range holes {
 			segs = append(segs, h.Edges()...)
 		}
-		want := map[[2]int]geom.IntersectionKind{}
-		for i := 0; i < len(segs); i++ {
-			if segs[i].A.Equal(segs[i].B) {
-				continue
-			}
-			for j := i + 1; j < len(segs); j++ {
-				if segs[j].A.Equal(segs[j].B) {
-					continue
-				}
-				if x := geom.SegmentIntersection(segs[i], segs[j]); x.Kind != geom.NoIntersection {
-					want[[2]int{i, j}] = x.Kind
-				}
-			}
-		}
-		got := map[[2]int]geom.IntersectionKind{}
-		for _, p := range sweep.Intersections(segs) {
-			got[[2]int{p.I, p.J}] = p.X.Kind
-		}
+		want := pairSet(quadraticPairs(segs))
+		got := pairSet(sweep.Intersections(segs))
 		if len(got) != len(want) {
 			t.Fatalf("sweep found %d pairs, quadratic %d (segs %v)", len(got), len(want), segs)
 		}
-		for k, kind := range want {
-			if g, ok := got[k]; !ok || g != kind {
-				t.Fatalf("pair %v: sweep %v (present=%v), quadratic %v (segs %v)", k, g, ok, kind, segs)
+		for k, x := range want {
+			if g, ok := got[k]; !ok || !sameIntersection(g, x) {
+				t.Fatalf("pair %v: sweep %+v (present=%v), quadratic %+v (segs %v)", k, g, ok, x, segs)
 			}
 		}
 	})

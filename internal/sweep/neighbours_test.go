@@ -1,6 +1,7 @@
 package sweep_test
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/geom"
@@ -194,7 +195,9 @@ func TestSubdivideNeighboursWorkloads(t *testing.T) {
 // TestSubdivideVerticalCrossingIsNoEvent pins the case Subdivision.Below's
 // doc describes: a vertical's interior crossing another segment's interior
 // splits both but is no event, so it has no Below entry — and still gets its
-// neighbour record.
+// neighbour record.  Below holds exactly the two endpoints that nothing
+// passes through, ends at or reaches from below: (0, 0) and (1, −1), not the
+// vertical's top (1, 1) or the right end (2, 0).
 func TestSubdivideVerticalCrossingIsNoEvent(t *testing.T) {
 	segs := []geom.Segment{seg(0, 0, 2, 0), seg(1, -1, 1, 1)}
 	sd := sweep.Subdivide(segs, nil)
@@ -206,8 +209,9 @@ func TestSubdivideVerticalCrossingIsNoEvent(t *testing.T) {
 	if !found {
 		t.Fatalf("Splits[0] = %v, want it to hold %v", sd.Splits[0], cross)
 	}
-	if _, ok := sd.Below[cross.Key()]; ok || len(sd.Below) != 4 {
-		t.Fatalf("Below = %v, want exactly the four endpoints", sd.Below)
+	want := map[geom.PointKey]int{geom.Pt(0, 0).Key(): -1, geom.Pt(1, -1).Key(): -1}
+	if !maps.Equal(sd.Below, want) {
+		t.Fatalf("Below = %v, want %v", sd.Below, want)
 	}
 	checkNeighbours(t, segs, nil)
 }

@@ -8,6 +8,7 @@ package sweep
 
 import (
 	"repro/internal/geom"
+	"repro/internal/rat"
 )
 
 type node struct {
@@ -26,21 +27,39 @@ func size(n *node) int {
 
 func (n *node) update() { n.size = 1 + size(n.l) + size(n.r) }
 
-// cmpSeg orders two status segments at the current sweep position: by y at
-// the sweep x, then (for segments through the current event point) by slope
-// — the order holding just right of the point — then by input index, which
+// cmpSeg orders segment a against status segment b at the sweep x.  a must
+// pass through the current event point p (insertSeg's segments do: they
+// cross p or start there), so its y there is p.Y and the y comparison is
+// p's side of b.  Ties, which only segments through p have, fall back to
+// slope — the order holding just right of p — then to input index, which
 // totalises the order for collinear overlapping segments.
 func (sw *sweeper) cmpSeg(a, b int) int {
 	if a == b {
 		return 0
 	}
-	if c := geom.CmpYAt(sw.segs[a], sw.segs[b], sw.x); c != 0 {
+	if c := sw.cmpPoint(sw.p, b); c != 0 {
 		return c
 	}
-	if c := geom.CmpSlope(sw.segs[a], sw.segs[b]); c != 0 {
+	if c := sw.cmpSlope(a, b); c != 0 {
 		return c
 	}
 	return a - b
+}
+
+// cmpPoint is geom.CmpPointSeg against segment i: -1 when p is below its
+// supporting line, 0 on it and +1 above.  The sweep's segments are
+// canonical, and only non-vertical ones are compared, so it is one
+// orientation test.
+func (sw *sweeper) cmpPoint(p geom.Point, i int) int {
+	s := &sw.segs[i]
+	return geom.Orientation(s.A, s.B, p)
+}
+
+// cmpSlope is geom.CmpSlope of non-vertical segments i and j, whose x
+// extents are positive.
+func (sw *sweeper) cmpSlope(i, j int) int {
+	s, t := &sw.segs[i], &sw.segs[j]
+	return rat.CmpMulDiff(s.B.Y, s.A.Y, t.B.X, t.A.X, t.B.Y, t.A.Y, s.B.X, s.A.X)
 }
 
 func (sw *sweeper) rand() uint64 {
@@ -187,7 +206,7 @@ func succ(n *node) *node {
 func (sw *sweeper) findRun(p geom.Point) []*node {
 	var hit *node
 	for cur := sw.root; cur != nil; {
-		c := geom.CmpPointSeg(p, sw.segs[cur.seg])
+		c := sw.cmpPoint(p, cur.seg)
 		if c == 0 {
 			hit = cur
 			break
@@ -202,11 +221,11 @@ func (sw *sweeper) findRun(p geom.Point) []*node {
 		return nil
 	}
 	first := hit
-	for nd := pred(first); nd != nil && geom.CmpPointSeg(p, sw.segs[nd.seg]) == 0; nd = pred(nd) {
+	for nd := pred(first); nd != nil && sw.cmpPoint(p, nd.seg) == 0; nd = pred(nd) {
 		first = nd
 	}
 	var out []*node
-	for nd := first; nd != nil && geom.CmpPointSeg(p, sw.segs[nd.seg]) == 0; nd = succ(nd) {
+	for nd := first; nd != nil && sw.cmpPoint(p, nd.seg) == 0; nd = succ(nd) {
 		out = append(out, nd)
 	}
 	return out
@@ -217,7 +236,7 @@ func (sw *sweeper) findRun(p geom.Point) []*node {
 func (sw *sweeper) lowerBound(p geom.Point) *node {
 	var cand *node
 	for cur := sw.root; cur != nil; {
-		if geom.CmpPointSeg(p, sw.segs[cur.seg]) <= 0 {
+		if sw.cmpPoint(p, cur.seg) <= 0 {
 			cand = cur
 			cur = cur.l
 		} else {
@@ -234,7 +253,7 @@ func (sw *sweeper) lowerBound(p geom.Point) *node {
 func (sw *sweeper) countBelow(p geom.Point) int {
 	n := 0
 	for cur := sw.root; cur != nil; {
-		if geom.CmpPointSeg(p, sw.segs[cur.seg]) > 0 {
+		if sw.cmpPoint(p, cur.seg) > 0 {
 			n += size(cur.l) + 1
 			cur = cur.r
 		} else {
@@ -252,7 +271,7 @@ func (sw *sweeper) countBelow(p geom.Point) int {
 func (sw *sweeper) predBelow(p geom.Point) int {
 	best := -1
 	for cur := sw.root; cur != nil; {
-		if geom.CmpPointSeg(p, sw.segs[cur.seg]) > 0 {
+		if sw.cmpPoint(p, cur.seg) > 0 {
 			best = cur.seg
 			cur = cur.r
 		} else {

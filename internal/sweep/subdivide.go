@@ -9,8 +9,8 @@ import (
 
 // Subdivision is the raw material for building a planar subdivision out of
 // one exact sweep: per-input-segment split points, the sweep-order
-// below-predecessor of every event point, and the status neighbours of every
-// sub-segment of a non-vertical input segment.
+// below-predecessor of the event points face tracing locates, and the status
+// neighbours of every sub-segment of a non-vertical input segment.
 type Subdivision struct {
 	// Splits[i] holds the points at which input segment i must be split:
 	// exact intersection points with other segments, collinear overlap
@@ -18,24 +18,23 @@ type Subdivision struct {
 	// and may include the segment's own endpoints; callers sort/deduplicate.
 	Splits [][]geom.Point
 
-	// Below maps the Point.Key of every event point the sweep processed —
-	// all segment endpoints, every intersection point and every probe point
-	// — to the index of the input segment whose supporting line passed
+	// Below maps the Point.Key of every event point that no input segment
+	// passes through or ends at and no vertical segment reaches from below
+	// to the index of the input segment whose supporting line passed
 	// strictly below the point at the moment the sweep reached it (before
 	// the event mutated the status), or -1 when the status held nothing
-	// below.
+	// below.  Every key is a segment's left (low) endpoint or a probe point.
 	//
 	// This is the sweep order threaded into face tracing: the face directly
-	// below an event point is the face above that predecessor, so hole cycles
+	// below such a point is the face above that predecessor, so hole cycles
 	// and isolated vertices are located without any point-in-polygon
-	// relocation.  Vertical segments never enter the status; callers resolve
-	// vertical obstructions from the subdivision's own vertex set.  That set
-	// is larger than the keys of this map: where a vertical segment's interior
-	// crosses another segment's interior, the crossing splits both but is no
-	// event, so it has no entry here.  Such a crossing is never the
-	// lexicographically smallest point of its connected component (the
-	// vertical's lower endpoint is smaller) and never an isolated point, so
-	// looking up only those two kinds of point never misses.
+	// relocation.  Face tracing reads it at two kinds of point only: the
+	// lexicographically smallest point of each connected component, and
+	// isolated points.  Each is an event that qualifies, since a segment
+	// through it, ending at it or reaching it from below would have an
+	// endpoint smaller than it in the same component.  Vertical segments
+	// never enter the status; callers resolve vertical obstructions from the
+	// subdivision's own vertex set.
 	Below map[geom.PointKey]int
 
 	// Neighbours[i] holds, for non-vertical input segment i, one record per
@@ -47,8 +46,7 @@ type Subdivision struct {
 	// holds unchanged across it.
 	Neighbours [][]Neighbour
 
-	// Pairs is the number of intersecting segment pairs found, which is also
-	// the number of exact intersection computations performed.
+	// Pairs is the number of intersecting segment pairs found.
 	Pairs int
 }
 
@@ -78,7 +76,7 @@ func Subdivide(segs []geom.Segment, probePts []geom.Point) *Subdivision {
 		Below:      make(map[geom.PointKey]int),
 		Neighbours: make([][]Neighbour, len(segs)),
 	}
-	sw := newSweeper(segs, func(p Pair) bool {
+	sw := newSweeper(segs, probePts, func(p Pair) bool {
 		switch p.X.Kind {
 		case geom.PointIntersection:
 			res.Splits[p.I] = append(res.Splits[p.I], p.X.P)
@@ -92,17 +90,10 @@ func Subdivide(segs []geom.Segment, probePts []geom.Point) *Subdivision {
 	})
 	sw.belowOut = res.Below
 	sw.nbrOut = res.Neighbours
-	if len(probePts) > 0 {
-		sw.probe = make(map[geom.PointKey]bool, len(probePts))
-		for _, p := range probePts {
-			sw.probe[p.Key()] = true
+	sw.onProbe = func(p geom.Point, hit []int) {
+		for _, i := range hit {
+			res.Splits[i] = append(res.Splits[i], p)
 		}
-		sw.onProbe = func(p geom.Point, hit []int) {
-			for _, i := range hit {
-				res.Splits[i] = append(res.Splits[i], p)
-			}
-		}
-		sw.addEventPoints(probePts)
 	}
 	sw.run()
 	mRunLatency.ObserveDuration(time.Since(start))

@@ -16,14 +16,22 @@
 //     their x plus checks against the events sharing that x;
 //   - shared endpoints: every endpoint is an event point; all segments
 //     incident to an event point pairwise intersect there and are reported
-//     together (clients such as ring validation then ignore the pairs that
-//     are adjacent edges meeting at their shared vertex);
+//     together, as meeting at the point unless two share a slope (clients
+//     such as ring validation then ignore the pairs that are adjacent edges
+//     meeting at their shared vertex);
 //   - collinear overlaps: overlapping segments have equal status keys, so
 //     they meet inside the run of segments through a shared event point and
 //     are reported with OverlapIntersection;
 //   - multi-segment event points: any number of segments may start, end or
 //     cross at one point; the run through the point is recomputed there and
 //     re-inserted in the order holding just right of it.
+//
+// The static events come from one sorted array of endpoint records, which
+// also lists the segments starting at each event, so the sweep keys no map
+// by point to find them; crossings found on the way go through a heap that
+// may hold a point more than once, and each distinct point is processed
+// once.  Status segments are canonical and non-vertical, so every status
+// comparison is a bare orientation or slope test.
 //
 // Two client modes are exposed: Run with a visitor that may stop the sweep
 // at the first relevant crossing (early-exit, used by the validation
@@ -65,7 +73,7 @@ type Pair struct {
 // the validation clients.  Zero-length segments are ignored.
 func Run(segs []geom.Segment, visit func(Pair) bool) {
 	start := time.Now()
-	sw := newSweeper(segs, visit)
+	sw := newSweeper(segs, nil, visit)
 	sw.run()
 	mRunLatency.ObserveDuration(time.Since(start))
 	mSegments.Add(uint64(len(segs)))
@@ -86,17 +94,21 @@ type sweeper struct {
 	visit   func(Pair) bool
 	stopped bool
 
-	// x is the sweep position: the x coordinate of the event point being
-	// processed.  The status comparator evaluates y-at-x here.
-	x rat.R
+	// p is the event point being processed; its x is the sweep position,
+	// at which the status comparator orders segments by y.
+	p geom.Point
 
-	events []geom.Point // static endpoint events, lex-sorted, deduplicated
-	eventI int
-	dyn    pointHeap              // dynamically scheduled crossing events
-	queued map[geom.PointKey]bool // every point ever queued (dedup for schedule)
-
-	starts  map[geom.PointKey][]int // canonical left endpoint → non-vertical segments
-	vstarts map[geom.PointKey][]int // canonical low endpoint → vertical segments
+	// The static events are the distinct segment endpoints and probe points,
+	// lex-sorted.  eventAt has one entry per event plus a sentinel: the
+	// non-vertical segments whose canonical left endpoint is events[e] are
+	// starts[eventAt[e].start:eventAt[e+1].start], the vertical ones with that
+	// low endpoint vstarts[eventAt[e].vstart:eventAt[e+1].vstart], both in
+	// ascending index.
+	events          []geom.Point
+	eventAt         []eventSpan
+	starts, vstarts []int
+	eventI          int
+	dyn             pointHeap // crossing events; may repeat a point or hold an endpoint
 
 	// Verticals live only while the sweep is at their x: actVert lists the
 	// verticals of the current x already processed (in ascending low-y
@@ -113,20 +125,20 @@ type sweeper struct {
 
 	// queries maps an event point key to rank-query outputs: the number of
 	// status segments strictly below the point at the moment the sweep
-	// reaches it (before any mutation there).
+	// reaches it (before any mutation there).  It is nil until addQuery.
 	queries map[geom.PointKey][]*int
 
-	// belowOut, when non-nil, receives for every event point the index of the
-	// status segment strictly below it (or -1), recorded before the event
-	// mutates the status.  This is the sweep-order predecessor the
-	// subdivision client threads into face tracing.
+	// belowOut, when non-nil, receives Subdivision.Below: at every event
+	// point that no segment passes through, ends at or reaches from below,
+	// the index of the status segment strictly below it (or -1), recorded
+	// before the event mutates the status.  This is the sweep-order
+	// predecessor the subdivision client threads into face tracing.
 	belowOut map[geom.PointKey]int
 
-	// probe marks event points whose full incidence set (every input segment
-	// containing the point) should be reported to onProbe.  The subdivision
-	// client uses this to split segments at isolated region points without an
+	// onProbe receives, at every probe point, its full incidence set (every
+	// input segment containing the point).  The subdivision client uses this
+	// to split segments at isolated region points without an
 	// O(points×segments) scan.
-	probe   map[geom.PointKey]bool
 	onProbe func(p geom.Point, segs []int)
 
 	// nbrOut, when non-nil, receives the neighbour records of the
@@ -144,79 +156,105 @@ type sweeper struct {
 	pairsReported   uint64
 }
 
-func newSweeper(segs []geom.Segment, visit func(Pair) bool) *sweeper {
+// eventSpan locates a static event's starting segments in starts and
+// vstarts, and marks probe points.
+type eventSpan struct {
+	start, vstart int32
+	probe         bool
+}
+
+// endpoint is one record of the sorted endpoint array newSweeper builds the
+// event table from.
+type endpoint struct {
+	p    geom.Point
+	seg  int
+	kind endpointKind
+}
+
+type endpointKind uint8
+
+const (
+	startKind  endpointKind = iota // canonical left endpoint of a non-vertical segment
+	vstartKind                     // low endpoint of a vertical segment
+	endKind                        // right (high) endpoint
+	probeKind                      // probe point (seg is -1)
+)
+
+// newSweeper canonicalises the segments and builds the static event table
+// from one sorted array of endpoint and probe records.
+func newSweeper(segs []geom.Segment, probes []geom.Point, visit func(Pair) bool) *sweeper {
 	sw := &sweeper{
 		visit:    visit,
 		segs:     make([]geom.Segment, len(segs)),
-		starts:   map[geom.PointKey][]int{},
-		vstarts:  map[geom.PointKey][]int{},
-		queued:   map[geom.PointKey]bool{},
 		reported: map[uint64]bool{},
-		queries:  map[geom.PointKey][]*int{},
 		nodeOf:   make([]*node, len(segs)),
 		rngState: 0x9E3779B97F4A7C15, // fixed seed: deterministic treap shape
 	}
-	pts := make([]geom.Point, 0, 2*len(segs))
+	recs := make([]endpoint, 0, 2*len(segs)+len(probes))
+	nv := 0
 	for i, s := range segs {
 		if s.A.Equal(s.B) {
 			continue // zero-length: no events, so never touched again
 		}
 		c := s.Canonical()
 		sw.segs[i] = c
-		k := c.A.Key()
+		kind := startKind
 		if c.IsVertical() {
-			sw.vstarts[k] = append(sw.vstarts[k], i)
-		} else {
-			sw.starts[k] = append(sw.starts[k], i)
+			kind = vstartKind
+			nv++
 		}
-		pts = append(pts, c.A, c.B)
+		recs = append(recs, endpoint{c.A, i, kind}, endpoint{c.B, i, endKind})
 	}
-	slices.SortFunc(pts, geom.CmpXY)
-	for _, p := range pts {
-		if len(sw.events) == 0 || !sw.events[len(sw.events)-1].Equal(p) {
-			sw.events = append(sw.events, p)
-			sw.queued[p.Key()] = true
+	// A ring's n edges have n distinct endpoints, half the records, and
+	// eventAt has one entry more than events.
+	nev := len(recs)/2 + len(probes) + 1
+	sw.events, sw.eventAt = make([]geom.Point, 0, nev), make([]eventSpan, 0, nev)
+	sw.starts, sw.vstarts = make([]int, 0, len(recs)/2-nv), make([]int, 0, nv)
+	for _, p := range probes {
+		recs = append(recs, endpoint{p, -1, probeKind})
+	}
+	slices.SortFunc(recs, func(a, b endpoint) int {
+		if c := geom.CmpXY(a.p, b.p); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seg, b.seg)
+	})
+	for i, r := range recs {
+		if i == 0 || !r.p.Equal(recs[i-1].p) {
+			sw.events = append(sw.events, r.p)
+			sw.eventAt = append(sw.eventAt, eventSpan{start: int32(len(sw.starts)), vstart: int32(len(sw.vstarts))})
+		}
+		switch r.kind {
+		case startKind:
+			sw.starts = append(sw.starts, r.seg)
+		case vstartKind:
+			sw.vstarts = append(sw.vstarts, r.seg)
+		case probeKind:
+			sw.eventAt[len(sw.eventAt)-1].probe = true
 		}
 	}
+	sw.eventAt = append(sw.eventAt, eventSpan{start: int32(len(sw.starts)), vstart: int32(len(sw.vstarts))})
 	return sw
 }
 
 // addQuery registers a rank query at an event point (it must be an endpoint
 // of some input segment, or it will never fire).
 func (sw *sweeper) addQuery(p geom.Point, out *int) {
+	if sw.queries == nil {
+		sw.queries = map[geom.PointKey][]*int{}
+	}
 	k := p.Key()
 	sw.queries[k] = append(sw.queries[k], out)
 }
 
-// addEventPoints merges extra static event points into the queue.  It must be
-// called before run() starts.  The subdivision client uses this to make every
-// isolated region point an event, so point-on-segment incidences are found by
-// the same sweep that finds segment intersections.
-func (sw *sweeper) addEventPoints(pts []geom.Point) {
-	added := false
-	for _, p := range pts {
-		k := p.Key()
-		if sw.queued[k] {
-			continue
-		}
-		sw.queued[k] = true
-		sw.events = append(sw.events, p)
-		added = true
-	}
-	if added {
-		slices.SortFunc(sw.events, geom.CmpXY)
-	}
-}
-
 func (sw *sweeper) run() {
 	for !sw.stopped {
-		p, ok := sw.nextEvent()
+		p, e, ok := sw.nextEvent()
 		if !ok {
 			return
 		}
 		sw.eventsProcessed++
-		sw.x = p.X
-		key := p.Key()
+		sw.p = p
 		if !sw.curXSet || !sw.curX.Equal(p.X) {
 			if sw.curXSet {
 				sw.leaveColumn(p.X)
@@ -224,29 +262,42 @@ func (sw *sweeper) run() {
 			sw.curXSet, sw.curX = true, p.X
 			sw.actVert = sw.actVert[:0]
 		}
+		var ups, vups []int
+		probing := false
+		if e >= 0 {
+			lo, hi := sw.eventAt[e], sw.eventAt[e+1]
+			ups, vups = sw.starts[lo.start:hi.start], sw.vstarts[lo.vstart:hi.vstart]
+			probing = lo.probe
+		}
 
 		// Rank queries fire before the event mutates anything at p, so the
 		// count reflects exactly the segments whose half-open x-interval
 		// [left, right) contains p.X — the downward-ray crossing parity.
-		if outs, ok := sw.queries[key]; ok {
-			c := sw.countBelow(p)
-			for _, o := range outs {
-				*o = c
+		if sw.queries != nil {
+			if outs, ok := sw.queries[p.Key()]; ok {
+				c := sw.countBelow(p)
+				for _, o := range outs {
+					*o = c
+				}
 			}
 		}
-		// The below-predecessor is recorded with the same pre-mutation timing
-		// as the rank queries: segments through p are still in the status but
-		// compare equal at p, so predBelow sees exactly the segments whose
-		// line passes strictly below the point.
-		if sw.belowOut != nil {
-			sw.belowOut[key] = sw.predBelow(p)
+		// The run: status segments whose line passes exactly through p
+		// (segments ending at p and segments crossing p).
+		run := sw.findRun(p)
+
+		// The below-predecessor is recorded, with the same pre-mutation
+		// timing as the rank queries, only where no segment passes through
+		// or ends at p and no vertical reaches p from below: face tracing
+		// reads it only at such points (see Subdivision.Below).
+		if sw.belowOut != nil && len(run) == 0 && !sw.vertReaches(p) {
+			sw.belowOut[p.Key()] = sw.predBelow(p)
 		}
 
 		// Vertical segments starting (low endpoint) at p: check them against
 		// the status segments spanning their y-range and against the other
 		// verticals at this x, then keep them active for later event points
 		// at the same x.
-		for _, v := range sw.vstarts[key] {
+		for _, v := range vups {
 			sw.verticalChecks(v)
 			if sw.stopped {
 				return
@@ -254,11 +305,8 @@ func (sw *sweeper) run() {
 			sw.actVert = append(sw.actVert, v)
 		}
 
-		// The run: status segments whose line passes exactly through p
-		// (segments ending at p and segments crossing p), plus the segments
-		// starting at p.  Everything incident to p pairwise intersects at p.
-		run := sw.findRun(p)
-		ups := sw.starts[key]
+		// The run and the segments starting at p pairwise intersect at p,
+		// and only at p unless the two share a slope.
 		members := make([]int, 0, len(run)+len(ups))
 		for _, nd := range run {
 			members = append(members, nd.seg)
@@ -266,14 +314,14 @@ func (sw *sweeper) run() {
 		members = append(members, ups...)
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				sw.report(members[i], members[j])
+				sw.report(members[i], members[j], sw.cmpSlope(members[i], members[j]) != 0)
 				if sw.stopped {
 					return
 				}
 			}
 		}
-		// Active verticals whose span contains p intersect everything at p.
-		probing := sw.onProbe != nil && sw.probe[key]
+		// Active verticals whose span contains p meet every member exactly
+		// at p: a vertical and a non-vertical segment are never collinear.
 		var spanVerts []int
 		for _, v := range sw.actVert {
 			if sw.segs[v].A.Y.LessEq(p.Y) && p.Y.LessEq(sw.segs[v].B.Y) {
@@ -281,7 +329,7 @@ func (sw *sweeper) run() {
 					spanVerts = append(spanVerts, v)
 				}
 				for _, s := range members {
-					sw.report(v, s)
+					sw.report(v, s, true)
 					if sw.stopped {
 						return
 					}
@@ -317,7 +365,7 @@ func (sw *sweeper) run() {
 		// back to input order).
 		ins := append(through, ups...)
 		slices.SortFunc(ins, func(i, j int) int {
-			if c := geom.CmpSlope(sw.segs[i], sw.segs[j]); c != 0 {
+			if c := sw.cmpSlope(i, j); c != 0 {
 				return c
 			}
 			return cmp.Compare(i, j)
@@ -342,36 +390,45 @@ func (sw *sweeper) run() {
 	}
 }
 
+// vertReaches reports whether a vertical segment processed at an earlier
+// event of p's column reaches up to p.
+func (sw *sweeper) vertReaches(p geom.Point) bool {
+	for _, v := range sw.actVert {
+		if !sw.segs[v].B.Y.Less(p.Y) {
+			return true
+		}
+	}
+	return false
+}
+
 // nextEvent merges the static endpoint stream with the dynamically scheduled
-// crossing events.  The two never hold the same point (queued dedups).
-func (sw *sweeper) nextEvent() (geom.Point, bool) {
-	hasS := sw.eventI < len(sw.events)
-	hasD := sw.dyn.len() > 0
-	switch {
-	case !hasS && !hasD:
-		return geom.Point{}, false
-	case hasS && (!hasD || geom.CmpXY(sw.events[sw.eventI], sw.dyn.peek()) < 0):
-		p := sw.events[sw.eventI]
-		sw.eventI++
-		return p, true
-	default:
-		return sw.dyn.pop(), true
+// crossing events, returning the next point and its static event index, or
+// -1 for a crossing that is no endpoint.  A crossing equal to the next
+// static event is merged with it, and repeats of the point just processed
+// are dropped, so each distinct point is processed once.
+func (sw *sweeper) nextEvent() (geom.Point, int, bool) {
+	for sw.dyn.len() > 0 {
+		q := sw.dyn.peek()
+		if q.Equal(sw.p) { // a repeat of the point just processed
+			sw.dyn.pop()
+			continue
+		}
+		if sw.eventI < len(sw.events) && geom.CmpXY(sw.events[sw.eventI], q) <= 0 {
+			break
+		}
+		return sw.dyn.pop(), -1, true
 	}
+	if sw.eventI == len(sw.events) {
+		return geom.Point{}, -1, false
+	}
+	sw.eventI++
+	return sw.events[sw.eventI-1], sw.eventI - 1, true
 }
 
-// schedule queues a future crossing event (points at or before the current
-// event have already been handled and are deduplicated away).
-func (sw *sweeper) schedule(q geom.Point) {
-	k := q.Key()
-	if sw.queued[k] {
-		return
-	}
-	sw.queued[k] = true
-	sw.dyn.push(q)
-}
-
-// report visits the pair (i, j) once, computing its exact intersection.
-func (sw *sweeper) report(i, j int) {
+// report visits the pair (i, j) once.  atP says that both segments contain
+// the event point p and are not collinear, so they meet exactly at p; the
+// exact intersection is computed only otherwise.
+func (sw *sweeper) report(i, j int, atP bool) {
 	if sw.stopped {
 		return
 	}
@@ -382,8 +439,10 @@ func (sw *sweeper) report(i, j int) {
 	if sw.reported[k] {
 		return
 	}
-	inter := geom.SegmentIntersection(sw.segs[i], sw.segs[j])
-	if inter.Kind == geom.NoIntersection {
+	var inter geom.Intersection
+	if atP {
+		inter = geom.Intersection{Kind: geom.PointIntersection, P: sw.p}
+	} else if inter = geom.SegmentIntersection(sw.segs[i], sw.segs[j]); inter.Kind == geom.NoIntersection {
 		return
 	}
 	sw.reported[k] = true
@@ -404,13 +463,13 @@ func (sw *sweeper) checkNeighbors(a, b *node, p geom.Point) {
 	switch inter.Kind {
 	case geom.PointIntersection:
 		if geom.CmpXY(inter.P, p) > 0 {
-			sw.schedule(inter.P)
+			sw.dyn.push(inter.P) // nextEvent merges repeats
 		}
 	case geom.OverlapIntersection:
 		// Overlapping segments are collinear with equal status keys, so they
 		// are normally reported inside a shared run; report defensively in
 		// case they became neighbours first (dedup makes repeats free).
-		sw.report(a.seg, b.seg)
+		sw.report(a.seg, b.seg, false)
 	}
 }
 
@@ -422,7 +481,7 @@ func (sw *sweeper) checkNeighbors(a, b *node, p geom.Point) {
 func (sw *sweeper) verticalChecks(v int) {
 	lo, hi := sw.segs[v].A, sw.segs[v].B
 	for nd := sw.lowerBound(lo); nd != nil; nd = succ(nd) {
-		if geom.CmpPointSeg(hi, sw.segs[nd.seg]) < 0 {
+		if sw.cmpPoint(hi, nd.seg) < 0 {
 			break // status line strictly above the span
 		}
 		if !sw.segs[nd.seg].B.X.Equal(lo.X) {
@@ -430,7 +489,7 @@ func (sw *sweeper) verticalChecks(v int) {
 			// (inside the spans of both), and it is not nd.seg's right end.
 			sw.queueNeighbours(nd.seg)
 		}
-		sw.report(v, nd.seg)
+		sw.report(v, nd.seg, false)
 		if sw.stopped {
 			return
 		}
@@ -439,7 +498,7 @@ func (sw *sweeper) verticalChecks(v int) {
 		// actVert is in ascending low-y order, so w.A.Y <= lo.Y: the spans
 		// meet iff w reaches up to lo.
 		if !sw.segs[w].B.Y.Less(lo.Y) {
-			sw.report(v, w)
+			sw.report(v, w, false)
 			if sw.stopped {
 				return
 			}

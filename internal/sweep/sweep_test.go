@@ -31,31 +31,45 @@ func quadraticPairs(segs []geom.Segment) []sweep.Pair {
 	return out
 }
 
-func pairKeySet(ps []sweep.Pair) map[[2]int]geom.IntersectionKind {
-	m := map[[2]int]geom.IntersectionKind{}
+func pairSet(ps []sweep.Pair) map[[2]int]geom.Intersection {
+	m := map[[2]int]geom.Intersection{}
 	for _, p := range ps {
-		m[[2]int{p.I, p.J}] = p.X.Kind
+		m[[2]int{p.I, p.J}] = p.X
 	}
 	return m
 }
 
-// checkAgainstQuadratic asserts the sweep reports exactly the pairs (and
-// intersection kinds) the brute-force scan finds.
+// sameIntersection reports whether two intersections are equal: the same
+// kind with the same point, or with the same overlap endpoints.
+func sameIntersection(a, b geom.Intersection) bool {
+	switch {
+	case a.Kind != b.Kind:
+		return false
+	case a.Kind == geom.PointIntersection:
+		return a.P.Equal(b.P)
+	case a.Kind == geom.OverlapIntersection:
+		return a.OverlapA.Equal(b.OverlapA) && a.OverlapB.Equal(b.OverlapB)
+	}
+	return true
+}
+
+// checkAgainstQuadratic asserts the sweep reports exactly the pairs, each
+// with its exact intersection, that the brute-force scan finds.
 func checkAgainstQuadratic(t *testing.T, name string, segs []geom.Segment) {
 	t.Helper()
-	want := pairKeySet(quadraticPairs(segs))
-	got := pairKeySet(sweep.Intersections(segs))
+	want := pairSet(quadraticPairs(segs))
+	got := pairSet(sweep.Intersections(segs))
 	if len(want) != len(got) {
 		t.Errorf("%s: sweep found %d pairs, quadratic %d", name, len(got), len(want))
 	}
-	for k, kind := range want {
+	for k, x := range want {
 		g, ok := got[k]
 		if !ok {
-			t.Errorf("%s: sweep missed pair %v (%v)", name, k, kind)
+			t.Errorf("%s: sweep missed pair %v (%+v)", name, k, x)
 			continue
 		}
-		if g != kind {
-			t.Errorf("%s: pair %v kind %v, quadratic says %v", name, k, g, kind)
+		if !sameIntersection(g, x) {
+			t.Errorf("%s: pair %v intersection %+v, quadratic says %+v", name, k, g, x)
 		}
 	}
 	for k := range got {

@@ -26,13 +26,15 @@ import (
 )
 
 // quadraticCutoff is the total vertex count up to which ValidateArea uses
-// the brute-force checker: at small sizes the sweep's event queue and status
+// the brute-force checker: at small sizes the sweep's event table and status
 // structure cost more than testing every pair.  On sawtooth rings
-// (BenchmarkImportValidation, 2-vCPU Xeon, medians of 3 rounds) the
-// quadratic checker takes 8.8µs at 8 vertices, 21µs at 16 and 84µs at 32,
-// against the sweep's 26µs, 50µs and 99µs; the sweep wins at 48 (150µs vs
-// 172µs) and 64 (208µs vs 312µs).  The crossover thus lies between 32 and
-// 48, and typical ~80-vertex cartographic polygons take the sweep.
+// (BenchmarkImportValidation, 2-vCPU Xeon, medians of 6 alternating rounds)
+// the quadratic checker takes 9µs at 8 vertices and 26µs at 16, against
+// the sweep's 15µs and 30µs; the sweep wins at 32 (55µs vs 87µs), 48 (72µs
+// vs 162µs) and 64 (96µs vs 318µs).  The crossover thus lies between 16
+// and 32, below the cutoff; the cutoff also picks the checker that
+// validates realised instances, so moving it is a change of its own.
+// Typical ~80-vertex cartographic polygons take the sweep.
 const quadraticCutoff = 48
 
 // ringPairAllowed reports whether an intersection between edges i < j of the
@@ -102,7 +104,7 @@ func ValidateAreaSweep(outer geom.Polygon, holes []geom.Polygon) error {
 	}
 
 	var verr error
-	sw := newSweeper(segs, func(p Pair) bool {
+	sw := newSweeper(segs, nil, func(p Pair) bool {
 		a, b := refs[p.I], refs[p.J]
 		if a.ring == b.ring {
 			if ringPairAllowed(rings[a.ring], a.pos, b.pos, p.X) {
