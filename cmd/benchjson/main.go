@@ -21,6 +21,12 @@
 //
 // Non-benchmark lines (pkg headers, PASS/ok) pass through into the report's
 // "context" list, preserving goos/goarch/cpu provenance.
+//
+// `go test -count N` prints each benchmark N times in a row.  The repeats of
+// one (pkg, name, procs) fold into one result: "runs" counts them,
+// "iterations" sums theirs, "ns_per_op" and every metric are medians over
+// the runs, and "ns_per_op_min" and "ns_per_op_max" give ns_per_op's range.
+// A benchmark printed once keeps the single-run form above.
 package main
 
 import (
@@ -30,6 +36,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -38,7 +45,10 @@ type benchResult struct {
 	Name       string             `json:"name"`
 	Procs      int                `json:"procs,omitempty"`
 	Iterations int64              `json:"iterations"`
+	Runs       int                `json:"runs,omitempty"`
 	NsPerOp    float64            `json:"ns_per_op,omitempty"`
+	NsPerOpMin float64            `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax float64            `json:"ns_per_op_max,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
@@ -77,7 +87,7 @@ func parse(sc *bufio.Scanner) (*report, error) {
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var block []benchResult // the current pkg: block, names unsplit
 	flush := func() {
-		rep.Results = append(rep.Results, splitProcs(block)...)
+		rep.Results = append(rep.Results, splitProcs(fold(block))...)
 		block = nil
 	}
 	for sc.Scan() {
@@ -98,6 +108,44 @@ func parse(sc *bufio.Scanner) (*report, error) {
 	}
 	flush()
 	return rep, sc.Err()
+}
+
+// fold merges each run of consecutive results with one name in a pkg:
+// block, as the package comment describes.
+func fold(block []benchResult) []benchResult {
+	var out []benchResult
+	for len(block) > 0 {
+		n := 1
+		for n < len(block) && block[n].Name == block[0].Name {
+			n++
+		}
+		f := block[0]
+		if n > 1 {
+			f = benchResult{Name: f.Name, Runs: n, Metrics: map[string]float64{}}
+			ns, metrics := make([]float64, n), map[string][]float64{}
+			for i, r := range block[:n] {
+				f.Iterations += r.Iterations
+				ns[i] = r.NsPerOp
+				for unit, v := range r.Metrics {
+					metrics[unit] = append(metrics[unit], v)
+				}
+			}
+			f.NsPerOp, f.NsPerOpMin, f.NsPerOpMax = median(ns), slices.Min(ns), slices.Max(ns)
+			for unit, vs := range metrics {
+				f.Metrics[unit] = median(vs)
+			}
+		}
+		out = append(out, f)
+		block = block[n:]
+	}
+	return out
+}
+
+// median returns the middle value of vs, or the mean of the middle two; it
+// sorts vs.
+func median(vs []float64) float64 {
+	slices.Sort(vs)
+	return (vs[(len(vs)-1)/2] + vs[len(vs)/2]) / 2
 }
 
 // splitProcs moves the GOMAXPROCS suffix of one pkg: block's names into

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -61,5 +62,40 @@ func TestParseSkipsGarbage(t *testing.T) {
 	}
 	if len(rep.Results) != 0 {
 		t.Errorf("garbage produced %d results", len(rep.Results))
+	}
+}
+
+// TestFoldRepeats: the three repeats `go test -count 3` prints of each
+// benchmark fold into one result per (pkg, name, procs), with medians, the
+// ns/op range and the run count; a benchmark printed once, and the same
+// name in another package, stay as they are.
+func TestFoldRepeats(t *testing.T) {
+	in := `pkg: repro
+BenchmarkColdIngest-2   	       8	  14000000 ns/op	        13.50 cpu-ms/map	 4000000 B/op	   35000 allocs/op
+BenchmarkColdIngest-2   	       8	  12000000 ns/op	        12.90 cpu-ms/map	 3900000 B/op	   34900 allocs/op
+BenchmarkColdIngest-2   	       8	  16000000 ns/op	        14.10 cpu-ms/map	 4100000 B/op	   35100 allocs/op
+BenchmarkOnce-2         	       1	       500 ns/op
+PASS
+ok  	repro	1.204s
+pkg: repro/internal/sweep
+BenchmarkColdIngest-2   	       1	       700 ns/op
+`
+	rep, err := parse(bufio.NewScanner(strings.NewReader(in)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != 3 {
+		t.Fatalf("results = %d, want 3: %+v", len(rep.Results), rep.Results)
+	}
+	got, err := json.Marshal(rep.Results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `[{"name":"ColdIngest","procs":2,"iterations":24,"runs":3,"ns_per_op":14000000,"ns_per_op_min":12000000,"ns_per_op_max":16000000,` +
+		`"metrics":{"B/op":4000000,"allocs/op":35000,"cpu-ms/map":13.5}},` +
+		`{"name":"Once","procs":2,"iterations":1,"ns_per_op":500},` +
+		`{"name":"ColdIngest","procs":2,"iterations":1,"ns_per_op":700}]`
+	if string(got) != want {
+		t.Errorf("folded results:\n got %s\nwant %s", got, want)
 	}
 }

@@ -18,11 +18,11 @@
 //     sweep's status order at every event point and around every
 //     sub-segment (subdivide.go);
 //  2. face tracing — build the rotation system and trace face boundary
-//     cycles, assigning hole cycles and isolated vertices to their
-//     containing faces directly from the recorded sweep order, and placing
-//     each bounded face's representative point halfway between one of its
-//     edges and the nearest segment the sweep saw on the face side
-//     (faces.go);
+//     cycles, telling each cycle's side from the turns at its lowest vertex,
+//     assigning hole cycles and isolated vertices in sweep order to the face
+//     the recorded sweep order puts below them, and placing each bounded
+//     face's representative point halfway between one of its edges and the
+//     nearest segment the sweep saw on the face side (faces.go);
 //  3. classification — compute the sign class of every cell with respect to
 //     every region combinatorially, by propagating ring-crossing parities
 //     over the face dual graph (classify.go);

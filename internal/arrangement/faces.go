@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/rat"
@@ -32,13 +31,10 @@ type fullComplex struct {
 
 	exteriorFace int
 
-	// vertexFace[v] is, for isolated vertices, the face containing them.
-	vertexFace map[int]int
-
-	// Sweep-order location state: non-isolated vertices per x column in
-	// ascending y, and the resolved face of every cycle.
-	cols      map[rat.Key][]int
-	cycleFace []int
+	// vertexFace[v] is, for isolated vertices, the face containing them;
+	// sorted lists the other vertices in lexicographic order.
+	vertexFace []int
+	sorted     []int
 
 	// Sign classes in schema order (filled by classify).
 	vertexSign [][]Sign
@@ -49,8 +45,9 @@ type fullComplex struct {
 type cycleInfo struct {
 	id        int
 	halfEdges []int
-	area2     rat.R      // twice the signed area
-	rep       geom.Point // a point inside the face left of the cycle; set for positive cycles
+	lexMin    int        // the lexicographically smallest origin vertex
+	bounded   bool       // the cycle is the outer boundary of the bounded face left of it
+	rep       geom.Point // a point inside the face left of the cycle; set for bounded cycles
 	face      int        // assigned face
 }
 
@@ -101,7 +98,7 @@ func traceFaces(sub *subdivision) (*fullComplex, error) {
 		return nil, err
 	}
 	for _, c := range fc.cycles {
-		if c.area2.Sign() > 0 {
+		if c.bounded {
 			if c.rep, err = fc.sweepRep(c); err != nil {
 				return nil, err
 			}
@@ -114,7 +111,7 @@ func traceFaces(sub *subdivision) (*fullComplex, error) {
 	fc.recordHalfEdgeFaces()
 	for _, v := range sub.isolatedCandidates {
 		if len(fc.vertexOut[v]) == 0 {
-			if fc.vertexFace[v], err = fc.resolveBelow(sub.points[v]); err != nil {
+			if fc.vertexFace[v], err = fc.faceBelow(sub.points[v]); err != nil {
 				return nil, err
 			}
 		}
@@ -125,7 +122,7 @@ func traceFaces(sub *subdivision) (*fullComplex, error) {
 // traceCycles builds the rotation system on the subdivision and traces its
 // boundary cycles.
 func traceCycles(sub *subdivision) (*fullComplex, error) {
-	fc := &fullComplex{sub: sub, vertexFace: make(map[int]int)}
+	fc := &fullComplex{sub: sub, vertexFace: make([]int, len(sub.points))}
 	nHE := 2 * len(sub.segments)
 	fc.heOrigin = make([]int, nHE)
 	fc.heTarget = make([]int, nHE)
@@ -160,14 +157,7 @@ func traceCycles(sub *subdivision) (*fullComplex, error) {
 	for h := 0; h < nHE; h++ {
 		v := fc.heTarget[h]
 		out := fc.vertexOut[v]
-		tw := twin(h)
-		pos := -1
-		for i, o := range out {
-			if o == tw {
-				pos = i
-				break
-			}
-		}
+		pos := slices.Index(out, twin(h))
 		if pos < 0 {
 			return nil, fmt.Errorf("arrangement: twin half-edge not found at vertex %d", v)
 		}
@@ -189,17 +179,46 @@ func traceCycles(sub *subdivision) (*fullComplex, error) {
 				break
 			}
 		}
-		c.area2 = fc.cycleArea2(c)
+		fc.orient(c)
 		fc.cycles = append(fc.cycles, c)
 	}
 	return fc, nil
 }
 
-// addFaces creates one bounded face per positive-area cycle, represented by
-// the cycle's rep, plus the exterior face.
+// orient sets the cycle's lexicographically smallest origin vertex v, and
+// whether it bounds a bounded face: iff every visit of v is a strict left
+// turn.  At a visit, half-edge h leaves v after its predecessor h_in, and
+// the face's corner runs counterclockwise from h to the reverse of h_in.
+// Both edges point right of v or straight up, so the corner holds the
+// direction straight left of v exactly when h_in is not strictly
+// counterclockwise of h, as when the two coincide at an antenna tip.  That
+// direction lies outside every bounded face the cycle encloses, and on the
+// unbounded side of a component's outer walk, whose v is the component's
+// lowest vertex.
+func (fc *fullComplex) orient(c *cycleInfo) {
+	pts := fc.sub.points
+	c.lexMin = fc.heOrigin[c.halfEdges[0]]
+	for _, h := range c.halfEdges[1:] {
+		if v := fc.heOrigin[h]; geom.CmpXY(pts[v], pts[c.lexMin]) < 0 {
+			c.lexMin = v
+		}
+	}
+	v := pts[c.lexMin]
+	in := c.halfEdges[len(c.halfEdges)-1]
+	for _, h := range c.halfEdges {
+		if fc.heOrigin[h] == c.lexMin && geom.Orientation(v, pts[fc.heTarget[h]], pts[fc.heOrigin[in]]) <= 0 {
+			return
+		}
+		in = h
+	}
+	c.bounded = true
+}
+
+// addFaces creates one bounded face per bounded cycle, represented by the
+// cycle's rep, plus the exterior face.
 func (fc *fullComplex) addFaces() {
 	for _, c := range fc.cycles {
-		if c.area2.Sign() > 0 {
+		if c.bounded {
 			f := &fullFace{id: len(fc.faces), rep: c.rep}
 			c.face = f.id
 			fc.faces = append(fc.faces, f)
@@ -224,63 +243,44 @@ func (fc *fullComplex) recordHalfEdgeFaces() {
 // order.  For an event point p that nothing passes through, ends at or
 // reaches from below, sub.below[p.Key()] names the non-vertical input
 // segment whose supporting line passed strictly below p when the sweep
-// reached it.  The obstruction directly below p is either a
-// point strictly inside a sub-segment of that segment, or a subdivision
-// vertex in p's own x column — the column covers what the status cannot see:
-// vertical segments (never in the status) and segments removed at an earlier
-// event with the same x.  Whichever candidate is higher is the true blocker,
-// and the face immediately below p is the face above it.
+// reached it.  The obstruction directly below p is a point strictly inside a
+// sub-segment of that segment or, if higher, a subdivision vertex in p's own
+// x column: the column covers what the status cannot see, vertical segments
+// and segments removed at an earlier event with the same x.
 
-// buildColumns indexes the non-isolated vertices by x coordinate, each
-// column sorted by ascending y.
-func (fc *fullComplex) buildColumns() {
-	fc.cols = make(map[rat.Key][]int)
-	for v := range fc.vertexOut {
-		if len(fc.vertexOut[v]) == 0 {
-			continue
-		}
-		k := fc.sub.points[v].X.Key()
-		fc.cols[k] = append(fc.cols[k], v)
-	}
-	for _, col := range fc.cols {
-		slices.SortFunc(col, func(v, w int) int { return fc.sub.points[v].Y.Cmp(fc.sub.points[w].Y) })
-	}
-}
-
-// blockerCycle returns the id of the cycle bounding the face directly below
-// p, or -1 when a downward ray from p escapes to infinity.  p must be a
-// point the sweep recorded in sub.below: one that no segment passes through
-// or ends at and no vertical reaches from below (hole-cycle lex-min vertices
-// and isolated vertices qualify).
-func (fc *fullComplex) blockerCycle(p geom.Point) (int, error) {
+// faceBelow returns the face directly below p, which is the face above its
+// obstruction, or the exterior when a downward ray from p escapes to
+// infinity.  p is a hole-like cycle's lex-min vertex or an isolated vertex,
+// and the face of the cycle bounding the obstruction must already be set.
+func (fc *fullComplex) faceBelow(p geom.Point) (int, error) {
 	sub := fc.sub
 	bs, ok := sub.below[p.Key()]
 	if !ok {
 		return -1, fmt.Errorf("arrangement: no sweep record below %v", p)
 	}
-	// Highest non-isolated vertex strictly below p in p's column.
+	// Highest non-isolated vertex strictly below p in p's column: the last
+	// one before p in lexicographic order, if it shares p's x.
 	w := -1
-	if col, ok := fc.cols[p.X.Key()]; ok {
-		i := sort.Search(len(col), func(i int) bool {
-			return !sub.points[col[i]].Y.Less(p.Y)
-		}) - 1
-		if i >= 0 {
-			w = col[i]
-		}
+	i, _ := slices.BinarySearchFunc(fc.sorted, p, func(v int, p geom.Point) int {
+		return geom.CmpXY(sub.points[v], p)
+	})
+	if i > 0 && sub.points[fc.sorted[i-1]].X.Equal(p.X) {
+		w = fc.sorted[i-1]
 	}
 	switch {
 	case bs < 0 && w < 0:
-		return -1, nil
-	case bs >= 0 && (w < 0 || sub.points[w].Y.Less(sub.inputSegs[bs].YAt(p.X))):
-		// The blocker lies strictly inside a sub-segment of bs, whose even
-		// half-edge runs left to right; the face above is on its left.
-		return fc.heCycle[2*sub.subSegAt(bs, p)], nil
+		return fc.exteriorFace, nil
+	case bs >= 0 && (w < 0 || geom.Orientation(sub.inputSegs[bs].A, sub.inputSegs[bs].B, sub.points[w]) < 0):
+		// The blocker lies strictly inside a sub-segment of bs (w, if any, is
+		// below bs's canonical, left-to-right segment), whose even half-edge
+		// runs left to right; the face above is on its left.
+		return fc.cycles[fc.heCycle[2*sub.subSegAt(bs, p)]].face, nil
 	default:
 		// The blocker is vertex w.  w has no upward edge (its target would
 		// be a column vertex contradicting w's maximality, or a vertex in
 		// the edge's interior), so the upward direction, towards p, lies
 		// strictly inside one of w's angular sectors.
-		return fc.sectorCycle(w, p), nil
+		return fc.cycles[fc.sectorCycle(w, p)].face, nil
 	}
 }
 
@@ -292,77 +292,39 @@ func (fc *fullComplex) blockerCycle(p geom.Point) (int, error) {
 // ones (wrapping around).
 func (fc *fullComplex) sectorCycle(v int, q geom.Point) int {
 	out := fc.vertexOut[v]
-	origin := fc.sub.points[v]
-	best := -1
-	for _, h := range out {
-		if cmpDirection(origin, fc.sub.points[fc.heTarget[h]], q) < 0 {
-			best = h
-		} else {
-			break
-		}
-	}
-	if best < 0 {
-		best = out[len(out)-1]
-	}
-	return fc.heCycle[best]
+	i, _ := slices.BinarySearchFunc(out, q, func(h int, q geom.Point) int {
+		return cmpDirection(fc.sub.points[v], fc.sub.points[fc.heTarget[h]], q)
+	})
+	return fc.heCycle[out[(i+len(out)-1)%len(out)]]
 }
 
-// lexMinVertex returns the lexicographically smallest origin vertex on the
-// cycle.
-func (fc *fullComplex) lexMinVertex(c *cycleInfo) int {
-	best := fc.heOrigin[c.halfEdges[0]]
-	for _, h := range c.halfEdges[1:] {
-		v := fc.heOrigin[h]
-		if geom.CmpXY(fc.sub.points[v], fc.sub.points[best]) < 0 {
-			best = v
-		}
-	}
-	return best
-}
-
-// assignBySweepOrder assigns every hole-like cycle (area <= 0: the clockwise
-// outer walk of a connected component) to its containing face from the sweep
-// order.  Each such cycle is linked to the cycle directly below its lex-min
-// vertex; since a blocker is always lexicographically smaller than the point
-// it blocks, the links are acyclic and resolve to a positive cycle's face or
-// to the exterior.
+// assignBySweepOrder assigns every hole-like cycle (one that is not
+// bounded: the outer walk of a connected component) to the face directly
+// below its lex-min vertex, in sweep order.  A blocker is lexicographically
+// smaller than the point it blocks, and the outer walks of different
+// components have different lex-min vertices, so the blocking cycle is
+// either bounded or an earlier hole-like cycle: its face is already set.
 func (fc *fullComplex) assignBySweepOrder() error {
-	fc.buildColumns()
-	links := make([]int, len(fc.cycles))
-	fc.cycleFace = make([]int, len(fc.cycles))
-	for _, c := range fc.cycles {
-		links[c.id] = -1
-		fc.cycleFace[c.id] = -1
-		if c.area2.Sign() > 0 {
-			fc.cycleFace[c.id] = c.face
-			continue
+	pts := fc.sub.points
+	for v, out := range fc.vertexOut {
+		if len(out) > 0 {
+			fc.sorted = append(fc.sorted, v)
 		}
+	}
+	slices.SortFunc(fc.sorted, func(v, w int) int { return geom.CmpXY(pts[v], pts[w]) })
+	holes := slices.DeleteFunc(slices.Clone(fc.cycles), func(c *cycleInfo) bool { return c.bounded })
+	slices.SortFunc(holes, func(c, d *cycleInfo) int { return geom.CmpXY(pts[c.lexMin], pts[d.lexMin]) })
+	for _, c := range holes {
 		var err error
-		if links[c.id], err = fc.blockerCycle(fc.sub.points[fc.lexMinVertex(c)]); err != nil {
+		if c.face, err = fc.faceBelow(pts[c.lexMin]); err != nil {
 			return err
 		}
-	}
-	var resolve func(cid int) int
-	resolve = func(cid int) int {
-		if cid < 0 {
-			return fc.exteriorFace
-		}
-		if fc.cycleFace[cid] < 0 {
-			fc.cycleFace[cid] = resolve(links[cid])
-		}
-		return fc.cycleFace[cid]
-	}
-	for _, c := range fc.cycles {
-		if c.area2.Sign() > 0 {
-			continue
-		}
-		c.face = resolve(c.id)
 	}
 	return nil
 }
 
 // sweepRep returns a point strictly inside the bounded face left of a
-// positive cycle.  It takes a non-vertical half-edge of the cycle and the
+// bounded cycle.  It takes a non-vertical half-edge of the cycle and the
 // sweep's neighbour record for the edge's sub-segment: on the record's open
 // x-interval no vertex or vertical segment lies, so at its mid-x the open
 // vertical gap between the edge and its nearest neighbour on the face side
@@ -391,29 +353,7 @@ func (fc *fullComplex) sweepRep(c *cycleInfo) (geom.Point, error) {
 		x := rat.Mid(r.X0, r.X1)
 		return geom.PtR(x, rat.Mid(sub.inputSegs[src.seg].YAt(x), sub.inputSegs[nb].YAt(x))), nil
 	}
-	return geom.Point{}, fmt.Errorf("arrangement: positive cycle %d has no non-vertical edge", c.id)
-}
-
-// resolveBelow returns the face containing the isolated vertex at p.  It
-// must run after assignBySweepOrder, which resolves every cycle's face.
-func (fc *fullComplex) resolveBelow(p geom.Point) (int, error) {
-	cid, err := fc.blockerCycle(p)
-	if err != nil || cid < 0 {
-		return fc.exteriorFace, err
-	}
-	return fc.cycleFace[cid], nil
-}
-
-// cycleArea2 returns twice the signed area of the closed polygonal curve
-// traced by the cycle.
-func (fc *fullComplex) cycleArea2(c *cycleInfo) rat.R {
-	sum := rat.Zero
-	for _, h := range c.halfEdges {
-		a := fc.sub.points[fc.heOrigin[h]]
-		b := fc.sub.points[fc.heTarget[h]]
-		sum = sum.Add(a.X.Mul(b.Y).Sub(b.X.Mul(a.Y)))
-	}
-	return sum
+	return geom.Point{}, fmt.Errorf("arrangement: bounded cycle %d has no non-vertical edge", c.id)
 }
 
 // exteriorRep returns a point guaranteed to lie in the unbounded face.

@@ -249,6 +249,46 @@ func FuzzSweepSubdivisionVsNaive(f *testing.F) {
 			region.AreaFeature(geom.Rect(0, 0, 6, 4)),
 			region.LineFeature(geom.MustPolyline(geom.Pt(-2, 4), geom.Pt(9, 4))),
 		},
+		// Face tracing's turn test and sweep-order hole assignment.  Features
+		// are dealt to P, Q, R in turn, so the points between two polygons
+		// give both polygons to P.
+		{ // two polygons touching at their shared leftmost vertex, which
+			// the component's outer walk visits twice
+			region.AreaFeature(geom.MustPolygon(geom.Pt(0, 0), geom.Pt(6, 1), geom.Pt(6, 4))),
+			region.PointFeature(geom.Pt(-9, 9)),
+			region.PointFeature(geom.Pt(-9, -9)),
+			region.AreaFeature(geom.MustPolygon(geom.Pt(0, 0), geom.Pt(6, -4), geom.Pt(6, -1))),
+		},
+		{ // the same, traced in the other order
+			region.AreaFeature(geom.MustPolygon(geom.Pt(0, 0), geom.Pt(6, -4), geom.Pt(6, -1))),
+			region.PointFeature(geom.Pt(-9, 9)),
+			region.PointFeature(geom.Pt(-9, -9)),
+			region.AreaFeature(geom.MustPolygon(geom.Pt(0, 0), geom.Pt(6, 1), geom.Pt(6, 4))),
+		},
+		{ // the same with an edge straight up from the shared vertex
+			region.AreaFeature(geom.MustPolygon(geom.Pt(0, 0), geom.Pt(3, 2), geom.Pt(0, 5))),
+			region.PointFeature(geom.Pt(-9, 9)),
+			region.PointFeature(geom.Pt(-9, -9)),
+			region.AreaFeature(geom.MustPolygon(geom.Pt(0, 0), geom.Pt(5, -1), geom.Pt(5, 1))),
+		},
+		{ // a line from its component's lowest vertex, inside a square
+			region.LineFeature(geom.MustPolyline(geom.Pt(0, 0), geom.Pt(4, 3), geom.Pt(8, 0))),
+			region.AreaFeature(geom.Rect(-5, -5, 15, 15)),
+		},
+		{ // a square above another and a point above both: each is blocked
+			// by the outer walk of the component below it
+			region.AreaFeature(geom.Rect(0, 0, 6, 6)),
+			region.AreaFeature(geom.Rect(1, 8, 3, 10)),
+			region.PointFeature(geom.Pt(2, 13)),
+			region.PointFeature(geom.Pt(2, 9)),
+		},
+		{ // a rectangle standing on a line and a point above its right
+			// side: the column vertex below the point is above the segment
+			// the sweep saw below it
+			region.AreaFeature(geom.Rect(2, 0, 5, 5)),
+			region.LineFeature(geom.MustPolyline(geom.Pt(0, 0), geom.Pt(10, 0))),
+			region.PointFeature(geom.Pt(5, 8)),
+		},
 	}
 	for _, feats := range hand {
 		var seed []byte

@@ -1,6 +1,8 @@
 package arrangement
 
 import (
+	"fmt"
+
 	"repro/internal/geom"
 	"repro/internal/rat"
 	"repro/internal/spatial"
@@ -79,28 +81,49 @@ func naiveCandidatePairs(segs []geom.Segment) [][2]int {
 
 // traceFacesReference traces the faces of the subdivision, ray-shooting a
 // representative point for every cycle and assigning hole cycles and
-// isolated vertices to the smallest bounded face that contains them.
+// isolated vertices to the smallest bounded face that contains them.  A
+// cycle bounds a bounded face iff its exact signed area is positive; it
+// returns an error naming the first cycle whose turn-test verdict
+// (cycleInfo.bounded) disagrees.
 func traceFacesReference(sub *subdivision) (*fullComplex, error) {
 	fc, err := traceCycles(sub)
 	if err != nil {
 		return nil, err
 	}
+	area2 := make([]rat.R, len(fc.cycles))
 	for _, c := range fc.cycles {
+		area2[c.id] = fc.cycleArea2(c)
+		if positive := area2[c.id].Sign() > 0; c.bounded != positive {
+			return nil, fmt.Errorf("arrangement: cycle %d at %v: bounded = %v, but twice its signed area is %v",
+				c.id, sub.points[c.lexMin], c.bounded, area2[c.id])
+		}
 		c.rep = fc.cycleRep(c)
 	}
 	fc.addFaces()
 	for _, c := range fc.cycles {
-		if c.area2.Sign() <= 0 {
-			c.face = fc.containingFace(c.rep)
+		if !c.bounded {
+			c.face = fc.containingFace(c.rep, area2)
 		}
 	}
 	fc.recordHalfEdgeFaces()
 	for _, v := range sub.isolatedCandidates {
 		if len(fc.vertexOut[v]) == 0 {
-			fc.vertexFace[v] = fc.containingFace(sub.points[v])
+			fc.vertexFace[v] = fc.containingFace(sub.points[v], area2)
 		}
 	}
 	return fc, nil
+}
+
+// cycleArea2 returns twice the signed area of the closed polygonal curve
+// traced by the cycle.
+func (fc *fullComplex) cycleArea2(c *cycleInfo) rat.R {
+	sum := rat.Zero
+	for _, h := range c.halfEdges {
+		a := fc.sub.points[fc.heOrigin[h]]
+		b := fc.sub.points[fc.heTarget[h]]
+		sum = sum.Add(a.X.Mul(b.Y).Sub(b.X.Mul(a.Y)))
+	}
+	return sum
 }
 
 // cycleRep returns a point strictly inside the face bounded by the cycle
@@ -191,17 +214,17 @@ func raySegmentHits(m, n geom.Point, nn rat.R, p, q geom.Point) []rat.R {
 
 // containingFace returns the ID of the face containing point p: the bounded
 // face whose outer cycle has minimal area among those strictly containing p,
-// or the exterior face.  p must not lie on any edge or vertex of the
-// subdivision.
-func (fc *fullComplex) containingFace(p geom.Point) int {
+// or the exterior face.  area2 holds twice every cycle's signed area.  p must
+// not lie on any edge or vertex of the subdivision.
+func (fc *fullComplex) containingFace(p geom.Point, area2 []rat.R) int {
 	best := fc.exteriorFace
 	var bestArea rat.R
 	for _, c := range fc.cycles {
-		if c.area2.Sign() <= 0 || !fc.cycleContains(c, p) {
+		if area2[c.id].Sign() <= 0 || !fc.cycleContains(c, p) {
 			continue
 		}
-		if best == fc.exteriorFace || c.area2.Less(bestArea) {
-			bestArea = c.area2
+		if best == fc.exteriorFace || area2[c.id].Less(bestArea) {
+			bestArea = area2[c.id]
 			best = c.face
 		}
 	}
@@ -299,8 +322,7 @@ func (fc *fullComplex) classifyByLocation(inst *spatial.Instance) {
 				// Isolated vertex: interior iff its containing face is
 				// interior (then a neighbourhood minus the point is in the
 				// region, and so is the point).
-				f, ok := fc.vertexFace[v]
-				if !ok || fc.faceSign[f][ri] != Interior {
+				if fc.faceSign[fc.vertexFace[v]][ri] != Interior {
 					interior = false
 				}
 			} else {

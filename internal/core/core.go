@@ -147,15 +147,20 @@ func (db *Database) evaluator() (*pointfo.CompiledEvaluator, error) {
 }
 
 // Resolve maps Auto to the concrete strategy this database's instance
-// supports: ViaInvariantFixpoint when the invariant is invertible, Direct
-// otherwise.  Concrete strategies resolve to themselves.  An invariant
-// computation failure also resolves Auto to Direct — direct evaluation
-// never needs the invariant, so it remains available.
+// supports (ResolveAuto).  Concrete strategies resolve to themselves.
 func (db *Database) Resolve(s Strategy) Strategy {
 	if s != Auto {
 		return s
 	}
-	inv, err := db.Invariant()
+	return ResolveAuto(db.Invariant())
+}
+
+// ResolveAuto is Auto's policy, given the outcome of computing an
+// instance's invariant: ViaInvariantFixpoint when the invariant is
+// invertible, Direct otherwise.  A failed computation also resolves to
+// Direct — direct evaluation never needs the invariant, so it remains
+// available.
+func ResolveAuto(inv *invariant.Invariant, err error) Strategy {
 	if err != nil || !translate.CanInvert(inv) {
 		return Direct
 	}
@@ -191,11 +196,7 @@ func (db *Database) Ask(q pointfo.PointFormula, s Strategy) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		j, err := translate.InvertToLinear(inv)
-		if err != nil {
-			return false, err
-		}
-		return db.evalSentence(j, q)
+		return translate.ToFixpointQuery(q, db.inst.AllConnected()).EvaluateOnInvariantUsing(inv, db.evalSentence)
 	default:
 		return false, fmt.Errorf("core: unknown strategy %v", s)
 	}

@@ -51,7 +51,6 @@ import (
 	"repro/internal/simindex"
 	"repro/internal/spatial"
 	"repro/internal/store"
-	"repro/internal/translate"
 )
 
 // DefaultCacheCapacity bounds the invariant cache when no option is given.
@@ -435,12 +434,12 @@ func (e *Engine) BatchStream(reqs []Request, s core.Strategy) <-chan Result {
 // or, in the serve front-end, the whole process.
 //
 // core.Auto resolves here, against the engine's invariant cache: the
-// invariant is fetched (cache → store → compute) and inspected once, then
-// the query runs ViaInvariantFixpoint when the invariant is invertible and
-// falls back to Direct otherwise — recorded under the resolved strategy,
-// with the fallback counted in Stats.AutoFallbacks.  An invariant
-// computation failure also falls back to Direct rather than erroring:
-// direct evaluation never needs the invariant.
+// invariant is fetched (cache → store → compute) once and core.ResolveAuto
+// picks the strategy, ViaInvariantFixpoint when the invariant is invertible
+// and Direct otherwise — recorded under the resolved strategy, with the
+// fallback counted in Stats.AutoFallbacks.  An invariant computation
+// failure also falls back to Direct rather than erroring: direct evaluation
+// never needs the invariant.
 //
 // The answer cache sits between resolution and evaluation: once the
 // strategy is concrete, the (instance, canonical query, strategy) triple
@@ -479,12 +478,9 @@ func (e *Engine) run(req Request, index int, s core.Strategy) (res Result) {
 		sp := req.Span.Child("resolve")
 		inv, res.CacheHit, err = e.invariant(req.Instance)
 		sp.End()
-		if err == nil && translate.CanInvert(inv) {
-			res.Strategy = core.ViaInvariantFixpoint
-		} else {
+		if res.Strategy = core.ResolveAuto(inv, err); res.Strategy == core.Direct {
 			// Direct evaluation needs no invariant, so a computation failure
 			// falls back rather than erroring.
-			res.Strategy = core.Direct
 			e.m.autoFallbacks.Inc()
 			inv, err = nil, nil
 		}

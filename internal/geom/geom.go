@@ -130,58 +130,6 @@ func (s Segment) YAt(x rat.R) rat.R {
 	return s.A.Y.Add(t.Mul(s.B.Y.Sub(s.A.Y)))
 }
 
-// CmpYAt compares the y coordinates of the supporting lines of s and t at x,
-// returning -1, 0 or +1.  Both segments must be non-vertical.  When x is an
-// endpoint x of either segment (the usual case in a sweep, whose columns are
-// event points) that endpoint's y is the segment's y there, and the answer
-// is one orientation test of the endpoint against the other segment
-// (CmpPointSeg).  At any other x the comparison cross-multiplies instead of
-// dividing, so no intermediate normalisation is paid per probe.
-func CmpYAt(s, t Segment, x rat.R) int {
-	s, t = s.Canonical(), t.Canonical()
-	if s.IsVertical() || t.IsVertical() {
-		panic("geom: CmpYAt of a vertical segment")
-	}
-	switch {
-	case x.Equal(s.A.X):
-		return CmpPointSeg(s.A, t)
-	case x.Equal(s.B.X):
-		return CmpPointSeg(s.B, t)
-	case x.Equal(t.A.X):
-		return -CmpPointSeg(t.A, s)
-	case x.Equal(t.B.X):
-		return -CmpPointSeg(t.B, s)
-	}
-	// y_s(x) = (ay·dx + (x-ax)·dy) / dx with dx > 0 after canonicalisation.
-	sdx := s.B.X.Sub(s.A.X)
-	tdx := t.B.X.Sub(t.A.X)
-	sn := s.A.Y.Mul(sdx).Add(x.Sub(s.A.X).Mul(s.B.Y.Sub(s.A.Y)))
-	tn := t.A.Y.Mul(tdx).Add(x.Sub(t.A.X).Mul(t.B.Y.Sub(t.A.Y)))
-	return rat.CmpMul(sn, tdx, tn, sdx)
-}
-
-// CmpPointSeg compares p.Y with the y coordinate of the supporting line of s
-// at p.X, returning -1 when p is below the line, 0 on it and +1 above.  The
-// segment must be non-vertical.  It is the orientation of p against the
-// canonical (left-to-right) segment.
-func CmpPointSeg(p Point, s Segment) int {
-	s = s.Canonical()
-	if s.IsVertical() {
-		panic("geom: CmpPointSeg of a vertical segment")
-	}
-	return Orientation(s.A, s.B, p)
-}
-
-// CmpSlope compares the slopes of two non-vertical segments.
-func CmpSlope(s, t Segment) int {
-	s, t = s.Canonical(), t.Canonical()
-	if s.IsVertical() || t.IsVertical() {
-		panic("geom: CmpSlope of a vertical segment")
-	}
-	// Both x extents are positive after canonicalisation.
-	return rat.CmpMulDiff(s.B.Y, s.A.Y, t.B.X, t.A.X, t.B.Y, t.A.Y, s.B.X, s.A.X)
-}
-
 // Box returns the bounding box of the segment.
 func (s Segment) Box() Box {
 	return Box{

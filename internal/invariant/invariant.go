@@ -74,12 +74,22 @@ type Invariant struct {
 
 // Compute builds the topological invariant of the instance by constructing
 // its maximum topological cell decomposition and forgetting the geometry.
+// It checks Euler's relation on the result, so a face-tracing fault that
+// gains or loses a face is an error rather than a stored invariant.
 func Compute(inst *spatial.Instance) (*Invariant, error) {
-	cx, err := arrangement.Build(inst)
+	return fromBuild(arrangement.Build(inst))
+}
+
+// fromBuild is Compute after the build.
+func fromBuild(cx *arrangement.Complex, err error) (*Invariant, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invariant: %w", err)
 	}
-	return FromComplex(cx), nil
+	inv := FromComplex(cx)
+	if err := inv.checkEuler(); err != nil {
+		return nil, err
+	}
+	return inv, nil
 }
 
 // MustCompute is Compute that panics on error (for tests and examples).
@@ -255,8 +265,12 @@ func (inv *Invariant) Validate() error {
 	if ext != 1 {
 		return fmt.Errorf("invariant: %d exterior faces, want exactly 1", ext)
 	}
-	// Euler's relation, V − E + F = 1 + C, with each free loop (an edge
-	// without vertices) counted as one vertex.
+	return inv.checkEuler()
+}
+
+// checkEuler checks Euler's relation, V − E + F = 1 + C, with each free
+// loop (an edge without vertices) counted as one vertex.
+func (inv *Invariant) checkEuler() error {
 	loops := 0
 	for _, e := range inv.Edges {
 		if e.IsFreeLoop() {

@@ -1,9 +1,11 @@
 package invariant
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/arrangement"
 	"repro/internal/geom"
 	"repro/internal/rat"
 	"repro/internal/region"
@@ -371,5 +373,71 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 	if err := bad2.Validate(); err == nil {
 		t.Error("two exterior faces accepted")
+	}
+}
+
+// TestComputeChecksEuler: Compute rejects a complex that lost a face, as a
+// face-tracing fault that took a bounded cycle for a hole would leave it —
+// here the inner square's face merged into the face around it.
+func TestComputeChecksEuler(t *testing.T) {
+	inst := instOf(t, map[string]region.Region{"P": region.Rect(0, 0, 10, 10), "Q": region.Rect(3, 3, 6, 6)})
+	cx, err := arrangement.Build(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fromBuild(cx, nil); err != nil {
+		t.Fatalf("intact complex: %v", err)
+	}
+	// f is a bounded face, g the face across one of its edges.
+	f, g := -1, -1
+	for _, face := range cx.Faces {
+		if !face.Exterior {
+			f = face.ID
+		}
+	}
+	for _, e := range cx.Faces[f].Edges {
+		for _, h := range cx.Edges[e].Faces {
+			if h != f {
+				g = h
+			}
+		}
+	}
+	if g < 0 {
+		t.Fatal("no face beside the bounded face")
+	}
+	remap := func(x int) int {
+		if x == f {
+			x = g
+		}
+		if x > f {
+			x--
+		}
+		return x
+	}
+	for _, v := range cx.Vertices {
+		v.Face = remap(v.Face)
+		for i, c := range v.Cone {
+			if c.Kind == arrangement.FaceCell {
+				v.Cone[i].Index = remap(c.Index)
+			}
+		}
+	}
+	for _, e := range cx.Edges {
+		for i, h := range e.Faces {
+			e.Faces[i] = remap(h)
+		}
+		slices.Sort(e.Faces)
+		e.Faces = slices.Compact(e.Faces)
+	}
+	cx.Faces[g].Edges = append(cx.Faces[g].Edges, cx.Faces[f].Edges...)
+	cx.Faces[g].Vertices = append(cx.Faces[g].Vertices, cx.Faces[f].Vertices...)
+	cx.Faces = slices.Delete(cx.Faces, f, f+1)
+	for i, face := range cx.Faces {
+		face.ID = i
+	}
+	cx.ExteriorFace = remap(cx.ExteriorFace)
+
+	if _, err := fromBuild(cx, nil); err == nil || !strings.Contains(err.Error(), "Euler") {
+		t.Fatalf("complex without face %d: got %v, want Euler's relation error", f, err)
 	}
 }

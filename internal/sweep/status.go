@@ -46,17 +46,18 @@ func (sw *sweeper) cmpSeg(a, b int) int {
 	return a - b
 }
 
-// cmpPoint is geom.CmpPointSeg against segment i: -1 when p is below its
-// supporting line, 0 on it and +1 above.  The sweep's segments are
-// canonical, and only non-vertical ones are compared, so it is one
-// orientation test.
+// cmpPoint compares p with the supporting line of segment i: -1 when p is
+// below it, 0 on it and +1 above.  The sweep's segments are canonical, and
+// only non-vertical ones are compared, so the segment runs left to right and
+// the answer is one orientation test.
 func (sw *sweeper) cmpPoint(p geom.Point, i int) int {
 	s := &sw.segs[i]
 	return geom.Orientation(s.A, s.B, p)
 }
 
-// cmpSlope is geom.CmpSlope of non-vertical segments i and j, whose x
-// extents are positive.
+// cmpSlope compares the slopes of non-vertical segments i and j: the sign
+// of dy_i·dx_j − dy_j·dx_i, which orders dy/dx because both x extents are
+// positive.
 func (sw *sweeper) cmpSlope(i, j int) int {
 	s, t := &sw.segs[i], &sw.segs[j]
 	return rat.CmpMulDiff(s.B.Y, s.A.Y, t.B.X, t.A.X, t.B.Y, t.A.Y, s.B.X, s.A.X)
